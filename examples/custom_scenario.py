@@ -9,7 +9,8 @@ MTTOP core count grows? — without writing a new experiment module.  A
 * the ``barnes_hut`` workload from the workload registry,
 * the ``ccsvm-small`` system preset (fast to simulate),
 * a grid over a *dotted-path configuration override* ``mttop.count``,
-* the distributed execution backend, fed by two spawned workers.
+* the distributed execution backend — a private sweep service started in
+  this process — fed by two spawned workers.
 
 Each MTTOP core count is its own scenario (overrides are per-scenario
 configuration, grids are workload parameters), so the script builds the

@@ -1,16 +1,19 @@
 #!/usr/bin/env python3
 """Multi-host sweep execution: a coordinator plus two multi-slot workers.
 
-The :class:`~repro.harness.backends.DistributedBackend` streams sweep
-points over TCP to ``repro worker`` processes — here both workers run on
-localhost, but ``--connect HOST:PORT`` works just as well across machines
-sharing the repository.  Each worker is started with ``--jobs 2``, so it
-executes two points at once on a local process pool and replies out of
-order as they finish; the coordinator pipelines up to ``slots`` points per
-connection and matches replies back by task id.  The coordinator keeps the
-point cache and the declaration-order row merge, so the result is
-identical to a serial run no matter how many workers (or slots per
-worker) serve it — this script checks exactly that.
+The :class:`~repro.harness.backends.DistributedBackend` starts a private
+sweep service — the same coordinator ``repro serve`` runs — inside this
+process and streams sweep points over TCP to the ``repro worker``
+processes that connect to it.  Here both workers run on localhost, but
+``--connect HOST:PORT`` works just as well across machines sharing the
+repository.  Each worker is started with ``--jobs 2``, so it executes two
+points at once on a local process pool and replies out of order as they
+finish; the service pipelines up to ``slots`` points per connection and
+matches replies back by task id.  The coordinator keeps the point cache
+and the declaration-order row merge, so the result is identical to a
+serial run no matter how many workers (or slots per worker) serve it —
+this script checks exactly that, and waits for both workers to exit on
+the ``shutdown`` that closing the backend sends.
 
 Run with::
 

@@ -683,28 +683,33 @@ class JobSpec:
     points: List[Dict[str, object]] = field(default_factory=list)
     meta: Dict[str, object] = field(default_factory=dict)
 
+    @staticmethod
+    def point_entry(point: SweepPoint) -> Dict[str, object]:
+        """Encode one point as a job entry.
+
+        Its function is converted to its reference string first
+        (:func:`~repro.harness.spec.point_func_ref`), so no callable is
+        ever pickled into a job — the server and its workers resolve the
+        name by import.  Raises when the point's kwargs cannot be encoded.
+        """
+        from repro.harness.wire import encode_point
+
+        by_ref = replace(point, func=point_func_ref(point))
+        return {"spec": point.spec, "point_id": point.point_id,
+                "group": point.group, "point": encode_point(by_ref)}
+
     @classmethod
     def from_points(cls, points: Sequence[SweepPoint], *, name: str,
                     submitter: str, priority: int = 0,
                     meta: Optional[Mapping[str, object]] = None) -> "JobSpec":
-        """Encode ``points`` for submission.
+        """Encode ``points`` for submission (see :meth:`point_entry`).
 
-        Functions are converted to their reference strings first
-        (:func:`~repro.harness.spec.point_func_ref`), so no callable is
-        ever pickled into a job — the server and its workers resolve the
-        names by import, exactly like distributed sweeps do.  A point
-        whose kwargs cannot be encoded raises here, at submission time.
+        A point whose kwargs cannot be encoded raises here, at submission
+        time.
         """
-        from repro.harness.wire import encode_point
-
-        encoded = []
-        for point in points:
-            by_ref = replace(point, func=point_func_ref(point))
-            encoded.append({"spec": point.spec, "point_id": point.point_id,
-                            "group": point.group,
-                            "point": encode_point(by_ref)})
         return cls(name=name, submitter=submitter, priority=priority,
-                   points=encoded, meta=dict(meta or {}))
+                   points=[cls.point_entry(point) for point in points],
+                   meta=dict(meta or {}))
 
     def to_json(self) -> Dict[str, object]:
         return {"name": self.name, "submitter": self.submitter,

@@ -15,11 +15,13 @@ access is coordinator-side only; workers never touch it).
 
 ``python -m repro run figure5 --full --jobs 4`` drives it from the shell;
 ``python -m repro run table2 --backend distributed --workers 2`` fans out
-to ``python -m repro worker --connect HOST:PORT`` processes.  Backends
-stream results as points complete (``run_iter``) and are cancellable, so
-the runner caches incrementally and early-stopping callers can abandon
-in-flight work; ``--backend service`` runs the same points as a job on an
-always-on ``repro serve`` fleet (see :mod:`repro.service`).
+to ``python -m repro worker --connect HOST:PORT`` processes through a
+private sweep service started in-process.  Backends stream results as
+points complete (``run_iter``) and are cancellable, so the runner caches
+incrementally and early-stopping callers can abandon in-flight work;
+``--backend service`` runs the same points as a job on an always-on
+``repro serve`` fleet (see :mod:`repro.service`), the same coordinator
+``--backend distributed`` runs privately.
 """
 
 from repro.harness.backends import (

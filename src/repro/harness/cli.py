@@ -24,8 +24,9 @@ Examples::
     python -m repro sweep --scenario study.toml
     python -m repro sweep --scenario study.toml --set l3.enabled=true --seed 9
 
-    # distributed: one coordinator, any number of workers (any order);
-    # each worker runs up to --jobs points at once on a local process pool
+    # distributed: a private sweep service in this process, any number of
+    # workers (any order); each runs up to --jobs points at once on a local
+    # process pool
     python -m repro worker --connect 127.0.0.1:7421 --jobs 8 &
     python -m repro worker --connect 127.0.0.1:7421 --jobs 8 &
     python -m repro run table2 --backend distributed --workers 2
@@ -266,10 +267,11 @@ def _build_parser() -> argparse.ArgumentParser:
                                help="emit a machine-readable JSON object")
 
     worker = sub.add_parser(
-        "worker", help="serve sweep points to a distributed coordinator")
+        "worker", help="serve sweep points to a sweep service")
     worker.add_argument("--connect", required=True, metavar="HOST:PORT",
-                        help="address of the coordinator "
-                             "('repro run ... --backend distributed')")
+                        help="address of 'repro serve' or of a "
+                             "'repro run ... --backend distributed' "
+                             "coordinator")
     worker.add_argument("--retry", type=float, default=30.0, metavar="SECONDS",
                         help="keep retrying the connection this long while "
                              "the coordinator comes up (default: 30)")
@@ -867,7 +869,9 @@ def _status(args: argparse.Namespace) -> int:
     for entry in (workers if isinstance(workers, list) else []):
         print(f"worker {entry.get('label')}: {entry.get('slots')} slot(s), "
               f"{entry.get('inflight')} in flight, "
-              f"{entry.get('points_done')} done")
+              f"{entry.get('points_done')} done, "
+              f"{entry.get('busy_s', 0.0):.1f}s busy, "
+              f"{entry.get('points_per_s', 0.0):.2f} points/s")
     return 0
 
 

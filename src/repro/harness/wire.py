@@ -1,4 +1,4 @@
-"""Wire protocol shared by the distributed backend and ``repro worker``.
+"""Wire protocol spoken between the sweep service, its workers and clients.
 
 Messages are *length-prefixed JSON frames*: a 4-byte big-endian payload
 length followed by a UTF-8 JSON object.  Framing keeps the protocol
@@ -15,37 +15,28 @@ wire, and workers resolve the names by import on their side.
 
 Frame types:
 
-========== =============================================================
-``hello``   worker -> coordinator greeting (``pid``, ``proto``, ``slots``)
-``point``   coordinator -> worker: one sweep point (``task_id``, ``point``)
-``result``  worker -> coordinator: ``task_id`` + ``ok`` +
-            ``result``/``error``
-``shutdown`` coordinator -> worker: drain and exit
-========== =============================================================
+================ =======================================================
+``hello``        worker -> service greeting (``pid``, ``proto``, ``slots``)
+``client_hello`` client -> service greeting (``pid``, ``proto``)
+``welcome``      service -> peer: the greeting was accepted
+``error``        service -> peer: a refusal or a failed request
+``point``        service -> worker: one sweep point (``task_id``, ``point``)
+``result``       worker -> service: ``task_id`` + ``ok`` +
+                 ``result``/``error``
+``shutdown``     service -> worker: exit
+================ =======================================================
 
-Protocol version 2 adds *credit-based pipelining*: the ``hello`` frame
-advertises ``slots`` — how many points the worker can execute
-concurrently — and the coordinator keeps at most that many ``point``
-frames outstanding per connection.  ``result`` frames may arrive in any
-order; the echoed ``task_id`` matches them back to their points.  A
-version-1 peer is still understood: a ``hello`` without ``slots`` means
-one slot, which degrades exactly to the old one-point-at-a-time lockstep.
+A worker's ``hello`` advertises ``slots``, and the service keeps at most
+that many ``point`` frames outstanding on the connection; ``result``
+frames may arrive in any order and are matched back by the echoed
+job-scoped ``task_id`` (``"<job>/<index>"``).  Clients send ``submit`` /
+``status`` / ``result`` / ``watch`` / ``cancel`` (see :mod:`repro.service`).
 
-Protocol version 3 adds the always-on sweep service (``repro serve``):
-
-- *job-scoped task ids*: the service multiplexes many concurrent jobs
-  over one worker fleet, so ``point`` frames carry ``"<job>/<index>"``
-  string task ids instead of bare run-local integers.  Workers have
-  always treated ``task_id`` as an opaque token to echo back, so a v2
-  (or even v1) worker serves a v3 coordinator unchanged.
-- *version negotiation*: the coordinator answers a ``hello`` with a
-  ``welcome`` frame carrying the negotiated version
-  (``min(coordinator, worker)``, via :func:`negotiate_proto`).  v2
-  workers log-and-ignore unknown frame types, so the ``welcome`` is
-  backward compatible too.
-- *client frames* (``client_hello`` / ``submit`` / ``status`` /
-  ``result`` / ``watch`` / ``cancel``), spoken between ``repro
-  submit``-style clients and the service — see :mod:`repro.service`.
+There is one protocol version, :data:`PROTOCOL_VERSION`: workers, clients
+and service ship from the same tree, so a greeting with another version
+(or a ``hello`` without a positive integer ``slots``) gets an ``error``
+frame naming both versions (:func:`hello_refusal`) and the connection
+closes without the peer joining.
 
 The pickle payload means workers must only ever connect to a coordinator
 they trust (and vice versa); the harness binds to localhost by default.
@@ -59,14 +50,11 @@ import json
 import pickle
 import socket
 import struct
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.harness.spec import PointResult, SweepPoint
 
-#: Wire protocol version, carried in ``hello`` frames.  Version 2 added
-#: multi-slot workers and out-of-order ``result`` frames; version 3 added
-#: job-scoped task ids, ``welcome`` negotiation and the service's client
-#: frames.
+#: Wire protocol version, carried in ``hello`` and ``client_hello`` frames.
 PROTOCOL_VERSION = 3
 
 #: Frames larger than this are rejected as corrupt rather than allocated.
@@ -180,18 +168,29 @@ async def write_frame_async(writer: asyncio.StreamWriter,
 
 
 # --------------------------------------------------------------------------- #
-# Version negotiation and job-scoped task ids (protocol v3)
+# Greetings, task ids and sockets
 # --------------------------------------------------------------------------- #
-def negotiate_proto(hello: Dict[str, object]) -> int:
-    """The protocol version a coordinator speaks to this peer.
+def hello_refusal(hello: Dict[str, object]) -> Optional[str]:
+    """Why the service refuses a peer's first frame, or ``None``.
 
-    ``min(ours, theirs)``; a missing or malformed advert counts as
-    version 1, the lockstep protocol every peer understands.
+    It must be a ``hello`` or ``client_hello`` advertising exactly
+    :data:`PROTOCOL_VERSION`; a worker's ``hello`` must also advertise a
+    positive integer ``slots``.
     """
-    proto = hello.get("proto", 1)
-    if not isinstance(proto, int) or isinstance(proto, bool) or proto < 1:
-        proto = 1
-    return min(PROTOCOL_VERSION, proto)
+    kind, proto = hello.get("type"), hello.get("proto")
+    if kind not in ("hello", "client_hello"):
+        return f"expected hello or client_hello, got {kind!r}"
+    advert = f"protocol version {proto!r}"
+    accepted = type(proto) is int and proto == PROTOCOL_VERSION
+    if kind == "hello":
+        slots = hello.get("slots")
+        advert += f" with slots={slots!r}"
+        accepted = accepted and type(slots) is int and slots >= 1
+    if accepted:
+        return None
+    return (f"refused {kind}: the peer speaks {advert}; this service speaks "
+            f"protocol version {PROTOCOL_VERSION} (workers need slots >= 1) "
+            f"- run workers, clients and service from the same release")
 
 
 def make_task_id(job_id: str, index: int) -> str:
@@ -199,31 +198,21 @@ def make_task_id(job_id: str, index: int) -> str:
     return f"{job_id}/{index}"
 
 
-def split_task_id(task_id: object) -> Optional[Tuple[str, int]]:
-    """Parse a job-scoped task id back to ``(job_id, index)``.
+def enable_keepalive(conn: socket.socket) -> None:
+    """Make a vanished peer *host* surface as a connection error.
 
-    ``None`` for anything malformed (workers echo task ids verbatim, so a
-    bad one means a confused or hostile peer, not a crash).
+    A peer process that crashes sends a FIN/RST and its points are
+    requeued immediately; a host that vanishes (power loss, network
+    partition) sends nothing, so without keepalive a read on its
+    connection would block forever.  The parameters below detect that
+    within ~a minute without bounding how long a legitimate point may
+    compute.
     """
-    if not isinstance(task_id, str):
-        return None
-    job_id, sep, index = task_id.rpartition("/")
-    if not sep or not job_id or not index.isdigit():
-        return None
-    return job_id, int(index)
-
-
-def hello_slots(hello: Dict[str, object]) -> int:
-    """Execution slots a ``hello`` frame advertises.
-
-    A version-1 peer (or a malformed advert) counts as one slot, so old
-    workers interoperate with a version-2 coordinator as plain serial
-    executors.
-    """
-    slots = hello.get("slots", 1)
-    if not isinstance(slots, int) or isinstance(slots, bool) or slots < 1:
-        return 1
-    return slots
+    conn.setsockopt(socket.SOL_SOCKET, socket.SO_KEEPALIVE, 1)
+    for option, value in (("TCP_KEEPIDLE", 30), ("TCP_KEEPINTVL", 10),
+                          ("TCP_KEEPCNT", 3)):
+        if hasattr(socket, option):  # platform-dependent
+            conn.setsockopt(socket.IPPROTO_TCP, getattr(socket, option), value)
 
 
 def parse_address(address: str) -> "tuple[str, int]":

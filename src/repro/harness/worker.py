@@ -1,18 +1,21 @@
-"""The ``repro worker`` process — executes sweep points for a coordinator.
+"""The ``repro worker`` process — executes sweep points for a sweep service.
 
-A worker is the remote half of
-:class:`~repro.harness.backends.DistributedBackend`::
+A worker serves ``repro serve`` or the private service a ``--backend
+distributed`` coordinator starts
+(:class:`~repro.harness.backends.DistributedBackend`)::
 
     repro worker --connect HOST:PORT --jobs 8
 
-It dials the coordinator (retrying while the coordinator is still coming
-up, so workers and coordinator can be launched in any order), sends a
-``hello`` frame advertising how many execution *slots* it has, then serves
+It dials the service (retrying while the service is still coming up, so
+workers and coordinator can be launched in any order), sends a ``hello``
+frame advertising how many execution *slots* it has, reads the
+``welcome`` — or the ``error`` frame of a service that refuses its
+protocol version, which it logs before exiting non-zero — then serves
 points.  With one slot (``--jobs 1``) the worker executes each point
 in-process before reading the next frame; with more, it fans points out
 over a local ``multiprocessing`` pool and replies **out of order** as they
-finish — the coordinator matches replies to points by ``task_id`` and
-never keeps more than ``slots`` points outstanding on the connection.
+finish — the service matches replies to points by ``task_id`` and never
+keeps more than ``slots`` points outstanding on the connection.
 
 ``--jobs`` defaults to ``$REPRO_WORKER_JOBS``, else the machine's CPU
 count, so a 32-core host contributes 32 cores to a sweep out of the box.
@@ -39,6 +42,7 @@ from repro.harness.spec import execute_point
 from repro.harness.wire import (
     PROTOCOL_VERSION,
     decode_point,
+    enable_keepalive,
     encode_result,
     parse_address,
     recv_frame,
@@ -119,11 +123,6 @@ def _serve_inline(sock: socket.socket) -> int:
         if kind == "shutdown":
             _log(f"shutdown after {served} points")
             return 0
-        if kind == "welcome":
-            # A v3 coordinator (the sweep service) confirms the negotiated
-            # protocol version; a v2 coordinator never sends one.
-            _log(f"coordinator negotiated protocol v{frame.get('proto')}")
-            continue
         if kind != "point":
             _log(f"ignoring unexpected {kind!r} frame")
             continue
@@ -200,13 +199,10 @@ def _serve_pooled(sock: socket.socket, jobs: int) -> int:
                 return 0
             kind = frame.get("type")
             if kind == "shutdown":
-                # The coordinator only shuts down idle connections, so no
-                # points are in flight; tear the pool down fast.
+                # Points still in flight belong to jobs the stopping
+                # service gave up on; tear the pool down fast.
                 _log(f"shutdown after {served} points")
                 return 0
-            if kind == "welcome":
-                _log(f"coordinator negotiated protocol v{frame.get('proto')}")
-                continue
             if kind != "point":
                 _log(f"ignoring unexpected {kind!r} frame")
                 continue
@@ -231,14 +227,12 @@ def _serve_pooled(sock: socket.socket, jobs: int) -> int:
 
 def run_worker(connect: str, retry_seconds: float = 30.0,
                jobs: Optional[int] = None) -> int:
-    """Serve sweep points from the coordinator at ``connect`` until shutdown.
+    """Serve sweep points from the service at ``connect`` until shutdown.
 
-    ``jobs`` is the slot count advertised to the coordinator (defaults to
-    :func:`default_worker_jobs`).  Returns a process exit code (0 on an
-    orderly shutdown).
+    ``jobs`` is the slot count advertised to the service (defaults to
+    :func:`default_worker_jobs`).  Returns a process exit code: 0 on an
+    orderly shutdown, 2 when the service refuses this worker.
     """
-    from repro.harness.backends import enable_keepalive
-
     if jobs is None:
         jobs = default_worker_jobs()
     if jobs < 1:
@@ -246,13 +240,19 @@ def run_worker(connect: str, retry_seconds: float = 30.0,
     host, port = parse_address(connect)
     sock = _connect(host, port, retry_seconds)
     try:
-        sock.settimeout(None)
-        # Symmetric with the coordinator: if the coordinator *host* vanishes
+        # Symmetric with the service: if the service *host* vanishes
         # without a FIN, keepalive turns the silent hang into an error.
         enable_keepalive(sock)
         send_frame(sock, {"type": "hello", "pid": os.getpid(),
                           "proto": PROTOCOL_VERSION, "slots": jobs,
                           "python": sys.version.split()[0]})
+        welcome = recv_frame(sock)  # under the connect timeout
+        if not welcome or welcome.get("type") != "welcome":
+            reason = welcome.get("error", welcome) if welcome \
+                else "the connection closed"
+            _log(f"{host}:{port} refused this worker: {reason}")
+            return 2
+        sock.settimeout(None)
         _log(f"connected to {host}:{port} with {jobs} slot(s)")
         if jobs == 1:
             return _serve_inline(sock)

@@ -1,16 +1,22 @@
-"""The always-on sweep service (``repro serve``) and its clients.
+"""The sweep service (``repro serve``) and its clients.
 
-The service owns a worker fleet (the same ``repro worker`` processes the
-distributed backend uses — protocol-negotiated, so v2 workers interop
-unchanged) and a named job queue with priorities and fair-share
+The service owns a worker fleet (``repro worker`` processes, which speak
+exactly its protocol version — other versions are refused with an
+``error`` frame) and a named job queue with priorities and fair-share
 scheduling across submitters.  Jobs are declarative
 :class:`~repro.api.JobSpec` payloads — ``module:qualname`` function
-references, never pickled callables.
+references, never pickled callables.  It is the one sweep coordinator:
+``--backend distributed`` runs a private instance of it inside the
+coordinator's process, with the same ``repro worker`` fleet.
 
 - :mod:`repro.service.jobs` — the queue and scheduling policy (pure,
   loop-free Python).
 - :mod:`repro.service.server` — the asyncio server behind ``repro
-  serve``: worker fleet, result streaming, SIGTERM drain.
+  serve``: worker fleet, result streaming, SIGTERM drain; plus
+  :class:`~repro.service.server.ServiceThread`, which serves it on its
+  own event-loop thread, and the private
+  :class:`~repro.service.server.PrivateSweepService` behind
+  ``--backend distributed``.
 - :mod:`repro.service.client` — :class:`~repro.service.client.ServiceClient`
   (the ``repro submit``/``status``/``result``/``cancel`` plumbing) and
   :class:`~repro.service.client.ServiceBackend` (``--backend service``).
@@ -22,7 +28,7 @@ from repro.service.client import (
     default_service_address,
 )
 from repro.service.jobs import JobQueue, ServiceError, ServiceJob
-from repro.service.server import SweepService, run_service
+from repro.service.server import ServiceThread, SweepService, run_service
 
 __all__ = [
     "JobQueue",
@@ -30,6 +36,7 @@ __all__ = [
     "ServiceClient",
     "ServiceError",
     "ServiceJob",
+    "ServiceThread",
     "SweepService",
     "default_service_address",
     "run_service",

@@ -1,7 +1,7 @@
 """Client side of the sweep service: :class:`ServiceClient` and the
 ``--backend service`` :class:`ServiceBackend`.
 
-:class:`ServiceClient` is a thin synchronous wrapper over the v3 client
+:class:`ServiceClient` is a thin synchronous wrapper over the client
 frames (``submit`` / ``status`` / ``result`` / ``watch`` / ``cancel``) —
 the ``repro submit``-family CLI commands are built on it.
 
@@ -27,12 +27,12 @@ from repro.harness.backends import (
     ExecutionBackend,
     PointFailure,
     default_service_address,
-    enable_keepalive,
 )
 from repro.harness.spec import SweepPoint
 from repro.harness.wire import (
     PROTOCOL_VERSION,
     decode_result,
+    enable_keepalive,
     parse_address,
     recv_frame,
     send_frame,
@@ -167,10 +167,10 @@ class ServiceBackend(ExecutionBackend):
     """Run sweep points as one job on a running ``repro serve``.
 
     One :meth:`run_iter` call is one service job; the job's priority and
-    submitter identity come from the constructor.  :meth:`cancel` opens a
-    short second connection to cancel the in-flight job server-side (the
-    watch stream then ends with its ``job_end``), so a DSE early-stop
-    releases the fleet for other submitters immediately.
+    submitter identity come from the constructor.  :meth:`cancel` ends
+    :meth:`run_iter` at its next frame and opens a short second connection
+    to cancel the in-flight job server-side, so a DSE early-stop releases
+    the fleet for other submitters immediately.
     """
 
     name = "service"
@@ -192,11 +192,22 @@ class ServiceBackend(ExecutionBackend):
                  ) -> Iterator[Tuple[int, BackendResult]]:
         points = list(points)
         self.last_point_workers = {}
-        if not points:
+        # Encoded one by one: a point whose kwargs cannot be encoded fails
+        # alone, and the job carries the rest (job index -> run_iter index
+        # in ``indices``).
+        entries: List[Dict[str, object]] = []
+        indices: List[int] = []
+        for index, point in enumerate(points):
+            try:
+                entries.append(JobSpec.point_entry(point))
+            except Exception as error:  # noqa: BLE001 - reported per point
+                yield index, PointFailure.from_exception(point, error)
+            else:
+                indices.append(index)
+        if not entries:
             return
-        spec = JobSpec.from_points(points, name=points[0].spec,
-                                   submitter=self.submitter,
-                                   priority=self.priority)
+        spec = JobSpec(name=points[0].spec, submitter=self.submitter,
+                       priority=self.priority, points=entries)
         with ServiceClient(self.connect, timeout=self.timeout) as client:
             job_id = client.submit(spec)
             with self._job_lock:
@@ -206,12 +217,15 @@ class ServiceBackend(ExecutionBackend):
                 self._cancel_remote(job_id)
             try:
                 for frame in client.watch(job_id):
+                    if self._cancelled:
+                        return  # the stream stops at cancel(), not job_end
                     if frame.get("type") != "point_result":
                         continue  # job_end ends the watch generator itself
-                    index = frame.get("index")
-                    if not isinstance(index, int) \
-                            or not 0 <= index < len(points):
+                    position = frame.get("index")
+                    if not isinstance(position, int) \
+                            or not 0 <= position < len(indices):
                         continue
+                    index = indices[position]
                     worker = frame.get("worker")
                     if isinstance(worker, str):
                         self.last_point_workers[index] = worker
@@ -229,8 +243,7 @@ class ServiceBackend(ExecutionBackend):
         try:
             return decode_result(str(frame.get("result", "")))
         except Exception as error:  # noqa: BLE001 - reported per point
-            return PointFailure(spec=point.spec, point_id=point.point_id,
-                                error=f"{type(error).__name__}: {error}")
+            return PointFailure.from_exception(point, error)
 
     def cancel(self) -> None:
         super().cancel()

@@ -126,10 +126,6 @@ class JobQueue:
         self._served[submitter] = self._served.get(submitter, 0) + 1
         return job, index
 
-    def has_work(self) -> bool:
-        return any(job.pending and not job.state.terminal
-                   for job in self.jobs.values())
-
     # -- settlement -------------------------------------------------------- #
     def complete(self, job: ServiceJob, index: int,
                  payload: Dict[str, object]) -> bool:

@@ -1,17 +1,16 @@
-"""The always-on sweep service behind ``repro serve``.
+"""The sweep service: ``repro serve`` and the ``--backend distributed`` fleet.
 
 One asyncio event loop owns everything: the listening socket, one
 connection handler per peer, the worker fleet and the
 :class:`~repro.service.jobs.JobQueue`.  Peers self-identify by their first
-frame — workers send the same ``hello`` they send a sweep coordinator
-(an unmodified v2 ``repro worker`` joins the fleet untouched), clients
-send ``client_hello``.  Both get a ``welcome`` frame back carrying the
-negotiated protocol version.
+frame — workers send ``hello``, clients send ``client_hello`` — and get a
+``welcome`` back, or an ``error`` frame and a closed connection when the
+greeting speaks another protocol version (see :mod:`repro.harness.wire`).
 
 Per worker the server runs a *dispatch* task and a *receive* task.
 Dispatch pulls assignments from the queue (priority + fair share, see
 :mod:`repro.service.jobs`), keeps at most ``slots`` points outstanding
-(the same credit scheme the distributed backend uses) and tags each
+(credit-based pipelining) and tags each
 ``point`` frame with a job-scoped ``"<job>/<index>"`` task id.  Receive
 matches ``result`` frames back by task id, settles the point and streams
 a ``point_result`` event to every watcher of that job.  When a worker
@@ -22,25 +21,33 @@ Shutdown is two-tier: SIGTERM *drains* (refuse new submissions, finish
 every accepted job, then exit) while SIGINT *stops* (cancel unfinished
 jobs and exit now).  Both end with ``shutdown`` frames to the fleet so
 workers exit cleanly.
+
+:class:`ServiceThread` serves a service on its own event-loop thread, for
+callers that are not themselves asyncio programs.
+:class:`PrivateSweepService` is the service ``--backend distributed``
+runs that way inside the coordinator's process (see
+:class:`~repro.harness.backends.DistributedBackend`).
 """
 
 from __future__ import annotations
 
 import asyncio
 import sys
+import threading
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Coroutine, Dict, List, Optional, Tuple, TypeVar
 
 from repro.api import JobSpec
+from repro.harness.backends import WorkerRunStats
 from repro.harness.runner import point_seed
 from repro.harness.spec import point_func_ref
 from repro.harness.wire import (
     PROTOCOL_VERSION,
     decode_point,
     decode_result,
-    hello_slots,
+    enable_keepalive,
+    hello_refusal,
     make_task_id,
-    negotiate_proto,
     parse_address,
     read_frame_async,
     write_frame_async,
@@ -62,20 +69,31 @@ HELLO_TIMEOUT = 10.0
 class _WorkerLink:
     """Server-side state of one connected worker."""
 
-    def __init__(self, key: int, label: str, slots: int, proto: int,
+    def __init__(self, key: int, label: str, slots: int,
                  writer: asyncio.StreamWriter) -> None:
         self.key = key
         self.label = label
         self.slots = slots
-        self.proto = proto
         self.writer = writer
         self.credits = slots
         #: task id -> (job_id, point index, dispatch instant) for points
         #: on this connection
         self.inflight: Dict[str, Tuple[str, int, float]] = {}
         self.points_done = 0
+        #: summed dispatch-to-result seconds of the points it returned (a
+        #: multi-slot worker accrues more busy seconds than wall seconds)
+        self.busy_s = 0.0
+        self.joined_at = time.monotonic()
         self.closed = False
         self.wake = asyncio.Event()
+
+    def stats(self, since: float, until: float, points: int = 0,
+              busy_s: float = 0.0) -> WorkerRunStats:
+        """Throughput over ``since``..``until``, less a baseline's counters."""
+        return WorkerRunStats(worker=self.label, slots=self.slots,
+                              points=self.points_done - points,
+                              busy_s=self.busy_s - busy_s,
+                              wall_s=until - max(since, self.joined_at))
 
 
 class SweepService:
@@ -149,8 +167,9 @@ class SweepService:
 
     async def _shutdown(self) -> None:
         if self._server is not None:
+            # Not followed by wait_closed(): from Python 3.12.1 that waits
+            # for every connection to close, which happens further down.
             self._server.close()
-            await self._server.wait_closed()
         for link in list(self._workers.values()):
             link.closed = True
             link.wake.set()
@@ -181,6 +200,9 @@ class SweepService:
         if task is not None:
             self._connections[task] = writer
         try:
+            sock = writer.get_extra_info("socket")
+            if sock is not None:
+                enable_keepalive(sock)
             try:
                 first = await asyncio.wait_for(read_frame_async(reader),
                                                timeout=HELLO_TIMEOUT)
@@ -189,16 +211,15 @@ class SweepService:
                 return
             if first is None:
                 return
-            kind = first.get("type")
-            if kind == "hello":
+            refusal = hello_refusal(first)
+            if refusal is not None:
+                self._log(refusal)
+                await write_frame_async(writer, {"type": "error",
+                                                 "error": refusal})
+            elif first.get("type") == "hello":
                 await self._serve_worker(first, reader, writer)
-            elif kind == "client_hello":
-                await self._serve_client(first, reader, writer)
             else:
-                await write_frame_async(
-                    writer, {"type": "error",
-                             "error": f"expected hello or client_hello, "
-                                      f"got {kind!r}"})
+                await self._serve_client(reader, writer)
         except (OSError, ConnectionError, ValueError):
             pass  # a dropped peer is routine fleet churn, not a server error
         finally:
@@ -213,16 +234,16 @@ class SweepService:
     async def _serve_worker(self, hello: Dict[str, object],
                             reader: asyncio.StreamReader,
                             writer: asyncio.StreamWriter) -> None:
-        proto = negotiate_proto(hello)
-        slots = hello_slots(hello)
+        slots = int(hello["slots"])  # validated by hello_refusal
         peer = writer.get_extra_info("peername") or ("?", 0)
         label = f"{peer[0]}:{peer[1]}/pid={hello.get('pid', '?')}"
         self._next_worker_key += 1
-        link = _WorkerLink(self._next_worker_key, label, slots, proto, writer)
+        link = _WorkerLink(self._next_worker_key, label, slots, writer)
         self._workers[link.key] = link
-        self._log(f"worker {label} joined: {slots} slot(s), protocol v{proto}")
+        self._log(f"worker {label} joined: {slots} slot(s)")
         try:
-            await write_frame_async(writer, {"type": "welcome", "proto": proto,
+            await write_frame_async(writer, {"type": "welcome",
+                                             "proto": PROTOCOL_VERSION,
                                              "role": "worker"})
             receive = asyncio.ensure_future(self._worker_receive(link, reader))
             dispatch = asyncio.ensure_future(self._worker_dispatch(link))
@@ -236,15 +257,19 @@ class SweepService:
             for task in done:
                 task.exception()  # retrieve, so nothing logs as unhandled
         finally:
-            link.closed = True
-            self._workers.pop(link.key, None)
-            requeued = len(link.inflight)
-            for job, index, payload in self.queue.requeue_worker(link.key):
-                self._emit_point(job, index, payload)
-                requeued -= 1
-            self._log(f"worker {label} left after {link.points_done} "
-                      f"point(s); requeued {max(requeued, 0)} in-flight")
-            self._kick_all()
+            self._worker_left(link)
+
+    def _worker_left(self, link: _WorkerLink) -> None:
+        """Drop a closed worker from the fleet and requeue its points."""
+        link.closed = True
+        self._workers.pop(link.key, None)
+        requeued = len(link.inflight)
+        for job, index, payload in self.queue.requeue_worker(link.key):
+            self._emit_point(job, index, payload)
+            requeued -= 1
+        self._log(f"worker {link.label} left after {link.points_done} "
+                  f"point(s); requeued {max(requeued, 0)} in-flight")
+        self._kick_all()
 
     async def _worker_dispatch(self, link: _WorkerLink) -> None:
         """Push assignments to one worker, ``slots`` at a time."""
@@ -284,9 +309,11 @@ class SweepService:
                 if isinstance(task_id, str) else None
             if entry is None:
                 continue  # stale or fabricated task id
+            job_id, index, started = entry
+            duration_s = time.monotonic() - started
             link.credits += 1
             link.points_done += 1
-            job_id, index, started = entry
+            link.busy_s += duration_s
             job = self.queue.get(job_id)
             if job is not None:
                 if frame.get("ok"):
@@ -302,7 +329,7 @@ class SweepService:
                         self._store_result(
                             job, index, str(payload["result"]),
                             worker=link.label,
-                            duration_s=round(time.monotonic() - started, 6))
+                            duration_s=round(duration_s, 6))
                     self._emit_point(job, index, payload)
             link.wake.set()  # a credit came back; dispatch may proceed
 
@@ -364,11 +391,10 @@ class SweepService:
             self._closing.set()
 
     # -- clients ----------------------------------------------------------- #
-    async def _serve_client(self, hello: Dict[str, object],
-                            reader: asyncio.StreamReader,
+    async def _serve_client(self, reader: asyncio.StreamReader,
                             writer: asyncio.StreamWriter) -> None:
         await write_frame_async(writer, {"type": "welcome",
-                                         "proto": negotiate_proto(hello),
+                                         "proto": PROTOCOL_VERSION,
                                          "role": "client"})
         while True:
             frame = await read_frame_async(reader)
@@ -412,9 +438,12 @@ class SweepService:
         target = frame.get("job")
         statuses = self.queue.statuses(
             str(target) if target is not None else None)
+        now = time.monotonic()
         workers = [{"label": link.label, "slots": link.slots,
-                    "proto": link.proto, "inflight": len(link.inflight),
-                    "points_done": link.points_done}
+                    "inflight": len(link.inflight),
+                    "points_done": link.points_done, "busy_s": link.busy_s,
+                    "points_per_s": link.stats(link.joined_at,
+                                               now).points_per_s}
                    for link in self._workers.values()]
         await write_frame_async(
             writer, {"type": "status", "draining": self.queue.draining,
@@ -498,6 +527,138 @@ class SweepService:
         await write_frame_async(writer, {"type": "cancelled",
                                          "job_id": job_id,
                                          "status": job.status().to_json()})
+
+
+_T = TypeVar("_T")
+
+
+class ServiceThread:
+    """A :class:`SweepService` served on its own event-loop thread.
+
+    For callers that are not asyncio programs: the ``--backend
+    distributed`` coordinator and the tests.  :meth:`call` runs a
+    coroutine on the service's loop, the only thread that may touch the
+    service's state; :meth:`stop` is what SIGINT is to ``repro serve``.
+    """
+
+    def __init__(self, service: SweepService) -> None:
+        self.service = service
+        self.loop: Optional[asyncio.AbstractEventLoop] = None
+        self.thread = threading.Thread(target=self._run, name="repro-serve",
+                                       daemon=True)
+        self._started = threading.Event()
+        self._error: Optional[Exception] = None
+
+    @property
+    def address(self) -> str:
+        """The ``HOST:PORT`` workers and clients dial."""
+        host, port = self.service.address
+        return f"{host}:{port}"
+
+    def start(self) -> Tuple[str, int]:
+        """Bind (raising what binding raised) and serve; returns the address."""
+        self.thread.start()
+        self._started.wait()
+        if self._error is not None:
+            raise self._error
+        return self.service.address
+
+    def _run(self) -> None:
+        asyncio.run(self._serve())
+
+    async def _serve(self) -> None:
+        self.loop = asyncio.get_running_loop()
+        try:
+            await self.service.start()
+        except Exception as error:  # noqa: BLE001 - start() re-raises it
+            self._error = error
+            return
+        finally:
+            self._started.set()
+        await self.service.serve()
+
+    def call(self, coroutine: Coroutine[object, object, _T]) -> _T:
+        """Run ``coroutine`` on the service's loop; block for its result."""
+        return asyncio.run_coroutine_threadsafe(coroutine, self.loop).result()
+
+    def stop(self) -> None:
+        """Cancel unfinished jobs, shut the fleet down, join the thread."""
+        try:
+            self.loop.call_soon_threadsafe(self.service.request_stop)
+        except RuntimeError:
+            pass  # the loop already ended: a drain completed on its own
+        self.thread.join(10.0)
+
+
+class PrivateSweepService(SweepService):
+    """The sweep service ``--backend distributed`` runs in-process.
+
+    It serves one coordinator's runs, one job at a time, and adds the
+    rules of a per-sweep fleet: a run waits for its workers
+    (:meth:`begin_run`); with no worker left, at submission or when the
+    last one leaves, a run's unsettled points fail at once where ``repro
+    serve`` would wait for a late worker; each run reports per-worker
+    throughput (:meth:`finish_run`).  No result store, no log lines.
+    """
+
+    def __init__(self, bind: str, max_retries: int) -> None:
+        super().__init__(bind=bind, max_retries=max_retries, quiet=True)
+        self._run_started = time.monotonic()
+        #: worker key -> (points_done, busy_s) when the current run began
+        self._baseline: Dict[int, Tuple[int, float]] = {}
+        #: workers that left during the current run, and when
+        self._departed: List[Tuple[_WorkerLink, float]] = []
+
+    async def begin_run(self, min_workers: int, timeout: float) -> int:
+        """Wait up to ``timeout`` s for ``min_workers``; baseline counters.
+
+        Returns how many workers are connected.
+        """
+        deadline = time.monotonic() + timeout
+        while len(self._workers) < min_workers \
+                and time.monotonic() < deadline:
+            await asyncio.sleep(0.01)
+        self._run_started = time.monotonic()
+        self._baseline = {key: (link.points_done, link.busy_s)
+                          for key, link in self._workers.items()}
+        self._departed = []
+        return len(self._workers)
+
+    async def finish_run(self) -> List[WorkerRunStats]:
+        """Throughput of every worker seen since :meth:`begin_run`, in join
+        order; forgets settled jobs."""
+        now = time.monotonic()
+        links = self._departed + [(link, now)
+                                  for link in self._workers.values()]
+        stats = [link.stats(self._run_started, until,
+                            *self._baseline.get(link.key, (0, 0.0)))
+                 for link, until in sorted(links, key=lambda e: e[0].key)]
+        for job_id in [job_id for job_id, job in self.queue.jobs.items()
+                       if job.state.terminal]:
+            del self.queue.jobs[job_id]
+            self._finished.pop(job_id, None)
+        return stats
+
+    def _worker_left(self, link: _WorkerLink) -> None:
+        super()._worker_left(link)
+        self._departed.append((link, time.monotonic()))
+        if not self._workers:
+            self._fail_unsettled()
+
+    async def _client_submit(self, frame: Dict[str, object],
+                             writer: asyncio.StreamWriter) -> None:
+        await super()._client_submit(frame, writer)
+        if not self._workers:
+            self._fail_unsettled()
+
+    def _fail_unsettled(self) -> None:
+        for job in list(self.queue.jobs.values()):
+            for index in range(job.total):
+                payload: Dict[str, object] = {
+                    "ok": False,
+                    "error": "all workers disconnected before the point ran"}
+                if self.queue.complete(job, index, payload):
+                    self._emit_point(job, index, payload)
 
 
 def run_service(bind: str, max_retries: int = 3, quiet: bool = False,

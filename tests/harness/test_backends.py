@@ -7,6 +7,7 @@ subcommand runs.
 """
 
 import socket
+import sys
 import threading
 import time
 
@@ -25,17 +26,18 @@ from repro.harness import (
     get_spec,
     run_worker,
 )
-from repro.harness.backends import ExecutionBackend, _RunState
+from repro.harness.backends import ExecutionBackend
 from repro.harness.wire import (
     PROTOCOL_VERSION,
     decode_point,
     encode_point,
-    hello_slots,
+    hello_refusal,
     parse_address,
     recv_frame,
     send_frame,
 )
 from repro.harness.worker import default_worker_jobs, execute_task
+from repro.service import ServiceClient
 
 
 # --------------------------------------------------------------------------- #
@@ -76,10 +78,16 @@ def _start_worker_thread(host, port, jobs=1):
 
 def _flaky_worker(host, port):
     """A worker that dies after receiving (and dropping) one point."""
-    sock = socket.create_connection((host, port), timeout=10.0)
-    send_frame(sock, {"type": "hello", "pid": 0})
+    sock = _connect_fake_worker(host, port, slots=1)
     recv_frame(sock)  # accept one point frame ...
     sock.close()      # ... and vanish without replying
+
+
+def _settled(backend):
+    """Points of the backend's current run settled so far (status request)."""
+    host, port = backend.listen()
+    with ServiceClient(f"{host}:{port}") as client:
+        return sum(status.settled for status in client.status())
 
 
 # --------------------------------------------------------------------------- #
@@ -117,13 +125,13 @@ class TestWire:
             parse_address("7421")
 
     def test_hello_slots_parsing(self):
-        assert hello_slots({"type": "hello", "slots": 4}) == 4
-        # A v1 hello (no slots) and malformed adverts degrade to one slot.
-        assert hello_slots({"type": "hello"}) == 1
-        assert hello_slots({"slots": 0}) == 1
-        assert hello_slots({"slots": -3}) == 1
-        assert hello_slots({"slots": "8"}) == 1
-        assert hello_slots({"slots": True}) == 1
+        hello = {"type": "hello", "proto": PROTOCOL_VERSION}
+        assert hello_refusal({**hello, "slots": 4}) is None
+        # A hello without slots, or with a malformed advert, is refused.
+        for slots in (None, 0, -3, "8", True):
+            advert = dict(hello) if slots is None else {**hello,
+                                                        "slots": slots}
+            assert f"slots={slots!r}" in hello_refusal(advert)
 
 
 # --------------------------------------------------------------------------- #
@@ -414,8 +422,7 @@ class TestDistributedBackend:
         release = threading.Event()
 
         def holding_flaky(host, port):
-            sock = socket.create_connection((host, port), timeout=10.0)
-            send_frame(sock, {"type": "hello", "pid": 0})
+            sock = _connect_fake_worker(host, port, slots=1)
             recv_frame(sock)            # take one point and sit on it
             got_point.set()
             release.wait(timeout=30)
@@ -441,8 +448,7 @@ class TestDistributedBackend:
         # point except the one the flaky worker is sitting on.
         deadline = time.monotonic() + 20
         while time.monotonic() < deadline:
-            state = backend._run_state
-            if state is not None and state.outstanding == 1:
+            if _settled(backend) == len(points) - 1:
                 break
             time.sleep(0.01)
         else:
@@ -456,19 +462,54 @@ class TestDistributedBackend:
         assert [r.rows[0]["square"] for r in box["results"]] == \
             [v * v for v in range(4)]
 
-    def test_close_reaps_the_accept_thread(self):
-        """Regression: close() must wake and join the accept thread, not
-        just close the listener — a close()d fd does not interrupt a
-        blocked accept(), and a thread left parked on the stale fd number
-        steals connections from whichever backend the OS hands that fd to
-        next (the root cause of cross-test connection theft)."""
+    def test_close_stops_the_service_and_its_workers(self):
+        """close() ends the service thread, sends every connected worker
+        ``shutdown`` (and real workers exit on it), and frees the port."""
         backend = DistributedBackend(bind="127.0.0.1:0")
-        backend.listen()
-        thread = backend._accept_thread
-        assert thread is not None and thread.is_alive()
+        host, port = backend.listen()
+        worker = _start_worker_thread(host, port)
+        fake = _connect_fake_worker(host, port, slots=1)
+        service_thread = backend._fleet.thread
+        deadline = time.monotonic() + 20
+        while time.monotonic() < deadline:
+            with ServiceClient(f"{host}:{port}") as client:
+                if len(client.status_payload()["workers"]) == 2:
+                    break
+            time.sleep(0.01)
+        else:
+            pytest.fail("the worker never joined")
         backend.close()
-        thread.join(timeout=5)
-        assert not thread.is_alive()
+        assert not service_thread.is_alive()
+        assert recv_frame(fake) == {"type": "shutdown"}
+        fake.close()
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        socket.create_server((host, port)).close()  # the port is free again
+
+    def test_more_workers_than_cores_under_switch_stress(self):
+        # Worker threads outnumber the cores and threads switch every
+        # 10 us: every point still settles once, in declaration order,
+        # and the run's per-worker stats account for every point (a lost
+        # counter update would not).
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            points = _points(list(range(40)))
+            backend = DistributedBackend(bind="127.0.0.1:0", min_workers=4,
+                                         start_timeout=20.0)
+            host, port = backend.listen()
+            threads = [_start_worker_thread(host, port) for _ in range(4)]
+            with backend:
+                results = backend.run(points)
+            for thread in threads:
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert [r.rows for r in results] == \
+            [r.rows for r in SerialBackend().run(points)]
+        assert sum(entry.points
+                   for entry in backend.last_run_worker_stats) == len(points)
 
     def test_workers_survive_across_runs(self):
         backend = DistributedBackend(bind="127.0.0.1:0", min_workers=2,
@@ -485,16 +526,14 @@ class TestDistributedBackend:
 
 
 # --------------------------------------------------------------------------- #
-# Multi-slot workers and credit-based pipelining (protocol v2)
+# Multi-slot workers and credit-based pipelining
 # --------------------------------------------------------------------------- #
-def _connect_fake_worker(host, port, slots=None):
+def _connect_fake_worker(host, port, slots):
     """Open a coordinator connection the test drives by hand."""
     sock = socket.create_connection((host, port), timeout=10.0)
-    hello = {"type": "hello", "pid": 0}
-    if slots is not None:
-        hello["proto"] = PROTOCOL_VERSION
-        hello["slots"] = slots
-    send_frame(sock, hello)
+    send_frame(sock, {"type": "hello", "pid": 0, "proto": PROTOCOL_VERSION,
+                      "slots": slots})
+    assert recv_frame(sock)["type"] == "welcome"
     sock.settimeout(10.0)
     return sock
 
@@ -528,6 +567,7 @@ class TestMultiSlotProtocol:
             assert hello["type"] == "hello"
             assert hello["proto"] == PROTOCOL_VERSION
             assert hello["slots"] == 2
+            send_frame(conn, {"type": "welcome", "proto": PROTOCOL_VERSION})
             send_frame(conn, {"type": "shutdown"})
             thread.join(timeout=15)
             assert not thread.is_alive()
@@ -549,6 +589,7 @@ class TestMultiSlotProtocol:
             conn, _ = listener.accept()
             conn.settimeout(10.0)
             recv_frame(conn)  # hello
+            send_frame(conn, {"type": "welcome", "proto": PROTOCOL_VERSION})
             send_frame(conn, {"type": "point", "task_id": 9})
             reply = recv_frame(conn)
             assert reply["task_id"] == 9
@@ -630,8 +671,7 @@ class TestMultiSlotProtocol:
             survivor = _start_worker_thread(host, port)
             deadline = time.monotonic() + 20
             while time.monotonic() < deadline:
-                state = backend._run_state
-                if state is not None and state.outstanding == 3:
+                if _settled(backend) == 3:
                     break
                 time.sleep(0.01)
             else:
@@ -695,24 +735,32 @@ class TestMultiSlotProtocol:
         assert not thread.is_alive()
         assert isinstance(results[0], PointFailure)
 
-    def test_protocol_v1_worker_interops(self):
-        # A v1 worker (hello without slots, in-order replies) still serves
-        # a v2 coordinator as a one-slot executor.
-        points = _points([5, 6])
-        backend = DistributedBackend(bind="127.0.0.1:0", min_workers=1,
-                                     start_timeout=20.0)
-        host, port = backend.listen()
-        runner, box = _run_in_thread(backend, points)
-        sock = _connect_fake_worker(host, port, slots=None)
+    def test_refused_worker_logs_and_exits_nonzero(self, capsys):
+        # A service that refuses the worker's hello answers with an error
+        # frame; the worker logs the refusal and exits non-zero instead of
+        # serving.
+        listener = socket.create_server(("127.0.0.1", 0))
+        host, port = listener.getsockname()
+        box = {}
+        thread = threading.Thread(
+            target=lambda: box.update(code=run_worker(
+                f"{host}:{port}", retry_seconds=10.0, jobs=1)),
+            daemon=True)
+        thread.start()
         try:
-            for _ in points:
-                _reply(sock, recv_frame(sock))
-            runner.join(timeout=20)
-            assert not runner.is_alive()
+            conn, _ = listener.accept()
+            conn.settimeout(10.0)
+            assert recv_frame(conn)["type"] == "hello"
+            send_frame(conn, {"type": "error",
+                              "error": "refused hello: protocol version 2"})
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+            conn.close()
         finally:
-            backend.close()
-            sock.close()
-        assert [r.rows[0]["value"] for r in box["results"]] == [5, 6]
+            listener.close()
+        assert box["code"] != 0
+        assert "refused this worker: refused hello: protocol version 2" in \
+            capsys.readouterr().err
 
 
 class TestWorkerJobs:
@@ -733,22 +781,6 @@ class TestWorkerJobs:
     def test_run_worker_rejects_bad_jobs(self):
         with pytest.raises(ValueError, match="jobs must be >= 1"):
             run_worker("127.0.0.1:1", jobs=0)
-
-
-class TestRunStateAdmission:
-    def test_instant_worker_death_does_not_orphan_admitted_batch(self):
-        """Regression for the test_worker_loss_retries_on_survivor flake:
-        the whole initial worker batch is admitted atomically, so a worker
-        dying before its siblings' serve threads spawn leaves
-        active_workers > 0 and the run keeps going on the survivor instead
-        of failing every point as orphaned."""
-        state = _RunState(_points([1, 2]), max_retries=3)
-        state.admit_batch(2)
-        state.requeue(0)        # the flaky worker dies holding point 0 ...
-        state.worker_exited()   # ... before the survivor's threads started
-        assert not state.done.is_set()
-        assert state.results == [None, None]
-        assert state.active_workers == 1
 
 
 # --------------------------------------------------------------------------- #

@@ -155,6 +155,8 @@ class TestWorkerThroughputStats:
         for entry in stats:
             assert entry.slots == 2
             assert entry.wall_s > 0 and entry.busy_s >= 0
+            if entry.points:
+                assert entry.busy_s > 0  # real dispatch-to-result time
             assert "pid=" in entry.worker
             assert entry.points_per_s == pytest.approx(
                 entry.points / entry.wall_s)

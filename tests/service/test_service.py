@@ -1,13 +1,13 @@
 """Integration tests for ``repro serve``: real sockets, real workers.
 
 Each test boots a :class:`~repro.service.server.SweepService` on an
-ephemeral localhost port inside a dedicated event-loop thread; workers
+ephemeral localhost port with :class:`~repro.service.server.ServiceThread`,
+the same event-loop-thread runner ``--backend distributed`` uses; workers
 are threads running the same ``run_worker`` loop the ``repro worker``
-subcommand runs, so the full v3 wire path (hello -> welcome negotiation,
+subcommand runs, so the full wire path (hello -> welcome or refusal,
 job-scoped task ids, credit flow, requeue) is exercised end to end.
 """
 
-import asyncio
 import json
 import socket
 import threading
@@ -17,6 +17,7 @@ import pytest
 
 from repro.api import JobSpec, JobState
 from repro.harness import (
+    PointFailure,
     PointResult,
     SerialBackend,
     SweepPoint,
@@ -25,6 +26,7 @@ from repro.harness import (
 )
 from repro.harness.cli import main as cli_main
 from repro.harness.wire import (
+    PROTOCOL_VERSION,
     decode_result,
     parse_address,
     recv_frame,
@@ -35,8 +37,10 @@ from repro.service import (
     ServiceBackend,
     ServiceClient,
     ServiceError,
+    ServiceThread,
     SweepService,
 )
+from repro.service.server import PrivateSweepService
 
 
 def square_point(value):
@@ -59,48 +63,16 @@ def _job(values, *, name="svc", submitter="tester", priority=0):
                                submitter=submitter, priority=priority)
 
 
-class _LiveService:
-    """A SweepService running on its own event-loop thread."""
-
-    def __init__(self, max_retries=3):
-        self.service = SweepService(bind="127.0.0.1:0",
-                                    max_retries=max_retries, quiet=True)
-        self.loop = asyncio.new_event_loop()
-        self._ready = threading.Event()
-        self.thread = threading.Thread(target=self._run, daemon=True)
-        self.thread.start()
-        if not self._ready.wait(10):
-            raise RuntimeError("service did not start")
-
-    def _run(self):
-        asyncio.set_event_loop(self.loop)
-        self.loop.run_until_complete(self.service.start())
-        self._ready.set()
-        try:
-            self.loop.run_until_complete(self.service.serve())
-        finally:
-            self.loop.close()
-
-    @property
-    def address(self):
-        host, port = self.service.address
-        return f"{host}:{port}"
-
-    def signal(self, callback):
-        """Run ``callback`` on the service's loop (signal-handler stand-in)."""
-        self.loop.call_soon_threadsafe(callback)
-
-    def stop(self, timeout=10):
-        try:
-            self.signal(self.service.request_stop)
-        except RuntimeError:
-            pass  # loop already closed (the service drained on its own)
-        self.thread.join(timeout)
+def _live_service():
+    """A started SweepService on an ephemeral localhost port."""
+    harness = ServiceThread(SweepService(bind="127.0.0.1:0", quiet=True))
+    harness.start()
+    return harness
 
 
 @pytest.fixture()
 def live():
-    harness = _LiveService()
+    harness = _live_service()
     yield harness
     harness.stop()
 
@@ -114,19 +86,20 @@ def _start_worker(address, jobs=1):
 
 
 # --------------------------------------------------------------------------- #
-# Wire v3: negotiation and job-scoped task ids
+# Wire protocol: one version, job-scoped task ids
 # --------------------------------------------------------------------------- #
 class TestProtocol:
-    def test_v2_worker_negotiates_and_serves_job_scoped_ids(self, live):
-        # A hand-rolled v2 worker: v2 hello in, welcome with min(3, 2) out,
-        # then a point whose task id is the v3 job-scoped string — which a
-        # v2 worker echoes back opaquely, exactly like the real ones do.
+    def test_worker_echoes_job_scoped_task_ids(self, live):
+        # A hand-rolled worker: hello in, welcome out, then a point whose
+        # task id is the job-scoped string — which the worker echoes back
+        # opaquely, exactly like the real ones do.
         sock = socket.create_connection(parse_address(live.address),
                                         timeout=10.0)
         try:
-            send_frame(sock, {"type": "hello", "pid": 1, "proto": 2,
-                              "slots": 1})
-            assert recv_frame(sock) == {"type": "welcome", "proto": 2,
+            send_frame(sock, {"type": "hello", "pid": 1,
+                              "proto": PROTOCOL_VERSION, "slots": 1})
+            assert recv_frame(sock) == {"type": "welcome",
+                                        "proto": PROTOCOL_VERSION,
                                         "role": "worker"}
             with ServiceClient(live.address) as client:
                 job_id = client.submit(_job([3]))
@@ -142,28 +115,29 @@ class TestProtocol:
         finally:
             sock.close()
 
-    def test_v1_hello_counts_as_one_slot_lockstep(self, live):
+    @pytest.mark.parametrize("hello", [
+        {"type": "hello", "pid": 1, "proto": 2, "slots": 1},
+        {"type": "hello", "pid": 1},
+        {"type": "hello", "pid": 1, "proto": PROTOCOL_VERSION},
+        {"type": "hello", "pid": 1, "proto": PROTOCOL_VERSION, "slots": 0},
+        {"type": "client_hello", "pid": 1, "proto": 2},
+    ])
+    def test_other_versions_are_refused_and_never_join(self, live, hello):
         sock = socket.create_connection(parse_address(live.address),
                                         timeout=10.0)
         try:
-            send_frame(sock, {"type": "hello", "pid": 1})  # no proto, no slots
-            assert recv_frame(sock) == {"type": "welcome", "proto": 1,
-                                        "role": "worker"}
-            with ServiceClient(live.address) as client:
-                job_id = client.submit(_job([1, 2]))
-                first = recv_frame(sock)
-                assert first["type"] == "point"
-                # one slot -> exactly one point outstanding; the second
-                # frame only arrives after the first result goes back.
-                send_frame(sock, execute_task(first["task_id"],
-                                              str(first["point"])))
-                second = recv_frame(sock)
-                assert second["task_id"] == f"{job_id}/1"
-                send_frame(sock, execute_task(second["task_id"],
-                                              str(second["point"])))
-                assert client.result(job_id)["state"] == "done"
+            send_frame(sock, hello)
+            reply = recv_frame(sock)
+            assert reply["type"] == "error"
+            # the refusal names both versions ...
+            assert f"protocol version {hello.get('proto')!r}" in \
+                reply["error"]
+            assert f"protocol version {PROTOCOL_VERSION}" in reply["error"]
+            assert recv_frame(sock) is None  # ... and closes the connection
         finally:
             sock.close()
+        with ServiceClient(live.address) as client:
+            assert client.status_payload()["workers"] == []
 
     def test_non_worker_garbage_is_rejected(self, live):
         sock = socket.create_connection(parse_address(live.address),
@@ -316,6 +290,51 @@ class TestResilience:
         assert [r.rows for r in replay] == \
             [r.rows for r in SerialBackend().run(points)]
 
+    def test_unpicklable_point_fails_without_hanging(self, live):
+        # One point whose kwargs cannot be encoded fails alone; the rest of
+        # the sweep still runs on the fleet.
+        _start_worker(live.address)
+        bad = SweepPoint(spec="svc", point_id="bad", func=square_point,
+                         kwargs={"value": lambda: 1})  # lambdas don't pickle
+        results = ServiceBackend(connect=live.address).run(
+            [bad] + _points([5]))
+        assert isinstance(results[0], PointFailure)
+        assert results[1].rows == [{"value": 5, "square": 25}]
+
+    def test_private_service_fails_a_job_submitted_to_an_empty_fleet(self):
+        # The rule --backend distributed adds on top of repro serve: with
+        # no worker connected, a job fails at once instead of waiting for
+        # a late worker.
+        harness = ServiceThread(PrivateSweepService("127.0.0.1:0",
+                                                    max_retries=3))
+        harness.start()
+        try:
+            with ServiceClient(harness.address) as client:
+                job_id = client.submit(_job([1, 2]))
+                # no result() wait: a regression would block it forever
+                assert client.status(job_id)[0].state is JobState.FAILED
+                reply = client.result(job_id)
+        finally:
+            harness.stop()
+        assert all("all workers disconnected" in entry["error"]
+                   for entry in reply["points"])
+
+    def test_backend_cancel_stops_the_stream_at_once(self, live):
+        # Results already streamed to the client when cancel() lands are
+        # not yielded either: the iterator stops at cancel(), not at the
+        # job's end (the race a fast fleet hits on every DSE early stop).
+        _start_worker(live.address)
+        backend = ServiceBackend(connect=live.address)
+        iterator = backend.run_iter(_points([1, 2, 3]))
+        next(iterator)
+        with ServiceClient(live.address) as client:
+            deadline = time.monotonic() + 20
+            while client.status()[0].state is not JobState.DONE:
+                assert time.monotonic() < deadline, "the job never finished"
+                time.sleep(0.01)
+        backend.cancel()
+        assert list(iterator) == []
+
     def test_cancel_settles_job_without_workers(self, live):
         with ServiceClient(live.address) as client:
             job_id = client.submit(_job([1, 2, 3]))
@@ -333,19 +352,30 @@ class TestResilience:
                 client.result("job-404")
 
     def test_drain_refuses_submissions_finishes_jobs_then_exits(self):
-        harness = _LiveService()
+        harness = _live_service()
         try:
             client = ServiceClient(harness.address)
             job_id = client.submit(_job([5, 6]))  # queued; no workers yet
-            harness.signal(harness.service.request_drain)  # SIGTERM path
+            # the SIGTERM path
+            harness.loop.call_soon_threadsafe(harness.service.request_drain)
             with pytest.raises(ServiceError, match="draining"):
                 client.submit(_job([7]))
             assert client.status_payload().get("draining") is True
+            client.close()
+            # Ask for the result before any worker exists: the completed
+            # drain closes every connection, so a request the service only
+            # reads after the job settled would never be answered.
+            waiter = socket.create_connection(
+                parse_address(harness.address), timeout=10.0)
+            send_frame(waiter, {"type": "client_hello",
+                                "proto": PROTOCOL_VERSION})
+            assert recv_frame(waiter)["type"] == "welcome"
+            send_frame(waiter, {"type": "result", "job": job_id})
             # the accepted job still runs to completion on a late worker ...
             _start_worker(harness.address)
-            reply = client.result(job_id)
+            reply = recv_frame(waiter)
+            waiter.close()
             assert reply["state"] == "done"
-            client.close()
             # ... and with every job settled the drain completes by itself
             harness.thread.join(15)
             assert not harness.thread.is_alive()
@@ -380,6 +410,17 @@ class TestServiceCli:
 
         assert cli_main(["status", *base]) == 0
         assert job_id in capsys.readouterr().out
+
+    def test_status_json_reports_worker_throughput(self, live, capsys):
+        _start_worker(live.address)
+        with ServiceClient(live.address) as client:
+            job_id = client.submit(_job([1, 2, 3]))
+            assert client.result(job_id)["state"] == "done"
+        assert cli_main(["status", "--json", "--connect", live.address]) == 0
+        (worker,) = json.loads(capsys.readouterr().out)["workers"]
+        assert worker["points_done"] == 3
+        assert worker["busy_s"] > 0
+        assert worker["points_per_s"] > 0
 
     def test_result_of_failed_job_names_the_point(self, live, capsys):
         _start_worker(live.address)
