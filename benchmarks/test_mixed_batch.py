@@ -1,22 +1,17 @@
-"""Microbenchmark: mixed-kind batches through the vectorized dispatch.
+"""Microbenchmark: mixed-kind batches through the batch engine.
 
-PR 6's columnar engine made *homogeneous* batches (all loads, all stores)
-fast; real streams are mixed.  The vectorized mixed-stream path splits a
-``(kind, vaddr, a, b)`` batch into columns with one numpy transpose,
-trims permission segments with vector compares, and moves data with
-per-kind sub-vector gathers — falling back to the stdlib transpose and
-the per-op loop when numpy is unavailable (``REPRO_NO_NUMPY=1``).
+Real op streams mix loads, stores and atomics.  The batch engine splits
+a ``(kind, vaddr, a, b)`` batch into columns with one ``zip`` transpose,
+trims each resident segment to its fast-hit prefix per op, and moves the
+data in op order.
 
 This benchmark drives a steady-state 3:1 load:store mixed stream through
-one CPU core's :meth:`~repro.mem.port.CoreMemoryPort.run_batch` under
-both columnar kernels and against the scalar per-op dispatch, records
-the rates to ``benchmarks/results/mixed_batch.{txt,json}`` (plus the
-trajectory), and asserts the numpy kernel clears a 3.5x floor (measured
-~5x standalone, ~4.4x inside the full suite; the floor leaves margin for
-noisy CI hosts — the pre-vectorization path sat at ~2.8x on the same
-stream).  Values, latencies and every
-statistics counter are asserted bit-identical to the scalar oracle —
-the speedup is pure host wall-clock.
+one CPU core's :meth:`~repro.mem.port.CoreMemoryPort.run_batch` batched
+and through the scalar per-op dispatch, records the rates to
+``benchmarks/results/mixed_batch.{txt,json}`` (plus the trajectory), and
+asserts the batched path clears a 2.0x floor.  Values, latencies and
+every statistics counter are asserted bit-identical to the scalar
+oracle — the speedup is pure host wall-clock.
 """
 
 from __future__ import annotations
@@ -28,7 +23,6 @@ from conftest import run_once
 from repro.config import small_ccsvm_system
 from repro.core.chip import CCSVMChip
 from repro.mem.batch import OP_ATOMIC_ADD, OP_ATOMIC_CAS, OP_LOAD, OP_STORE
-from repro.sim import columnar
 
 ACCESSES = 120_000
 WORKING_SET_WORDS = 256  # resident in one page and the 8 KiB L1
@@ -63,100 +57,65 @@ def _mixed_ops(count: int, base: int, atomics: bool = False):
     return ops
 
 
-def _mixed_rate(kernel: str, batched: bool = True,
-                accesses: int = ACCESSES, repeats: int = REPEATS) -> float:
-    """Best-of-``repeats`` mixed ops/second under one columnar kernel."""
-    if kernel == "numpy":
-        if not columnar.use_numpy_kernel():
-            raise RuntimeError("numpy kernel unavailable")
-    else:
-        columnar.use_python_kernel()
-    try:
-        best = 0.0
-        for _ in range(repeats):
-            _chip, port, base = _build_port()
-            port.batch_enabled = batched
-            ops = _mixed_ops(BATCH_WORDS, base)
-            run_batch = port.run_batch
-            started = time.perf_counter()
-            for _chunk in range(accesses // BATCH_WORDS):
-                run_batch(ops)
-            elapsed = time.perf_counter() - started
-            best = max(best, accesses / elapsed)
-        return best
-    finally:
-        if not columnar.use_numpy_kernel():
-            columnar.use_python_kernel()
+def _mixed_rate(batched: bool = True, accesses: int = ACCESSES,
+                repeats: int = REPEATS) -> float:
+    """Best-of-``repeats`` mixed ops/second."""
+    best = 0.0
+    for _ in range(repeats):
+        _chip, port, base = _build_port()
+        port.batch_enabled = batched
+        ops = _mixed_ops(BATCH_WORDS, base)
+        run_batch = port.run_batch
+        started = time.perf_counter()
+        for _chunk in range(accesses // BATCH_WORDS):
+            run_batch(ops)
+        elapsed = time.perf_counter() - started
+        best = max(best, accesses / elapsed)
+    return best
 
 
 def test_mixed_batch_speedup(benchmark, record_figure, record_results):
-    """The vectorized mixed path is >=3.5x scalar dispatch (numpy kernel)."""
-    have_numpy = columnar.USING_NUMPY
-    rates = {"stdlib": run_once(benchmark, _mixed_rate, "python")
-             if not have_numpy else _mixed_rate("python")}
-    if have_numpy:
-        rates["numpy"] = run_once(benchmark, _mixed_rate, "numpy")
-    scalar_rate = _mixed_rate("python", batched=False)
-    headline = rates.get("numpy", rates["stdlib"])
-    ratio = headline / scalar_rate
-    floor = 3.5 if have_numpy else 2.0
-    lines = [
+    """The batched mixed path is >=2.0x scalar dispatch."""
+    batched_rate = run_once(benchmark, _mixed_rate, True)
+    scalar_rate = _mixed_rate(batched=False)
+    ratio = batched_rate / scalar_rate
+    text = "\n".join([
         f"Mixed-batch microbenchmark — {ACCESSES} warm accesses in "
         f"{BATCH_WORDS}-op mixed vectors ({WORKING_SET_WORDS}-word "
         f"working set, 3:1 load:store)",
-    ]
-    for kernel in sorted(rates):
-        lines.append(f"batched, {kernel:6s} kernel: "
-                     f"{rates[kernel]:12,.0f} accesses/s")
-    lines.append(f"scalar per-op dispatch: {scalar_rate:12,.0f} accesses/s")
-    lines.append(f"speedup ({'numpy' if have_numpy else 'stdlib'} kernel): "
-                 f"{ratio:.2f}x")
-    text = "\n".join(lines)
+        f"batched:                {batched_rate:12,.0f} accesses/s",
+        f"scalar per-op dispatch: {scalar_rate:12,.0f} accesses/s",
+        f"speedup: {ratio:.2f}x",
+    ])
     record_figure("mixed_batch", text)
     record_results("mixed_batch", {
         "accesses": ACCESSES,
         "batch_words": BATCH_WORDS,
         "working_set_words": WORKING_SET_WORDS,
-        "numpy_available": have_numpy,
-        "stdlib_accesses_per_s": rates["stdlib"],
-        **({"numpy_accesses_per_s": rates["numpy"]} if have_numpy else {}),
+        "batched_accesses_per_s": batched_rate,
         "scalar_accesses_per_s": scalar_rate,
         "speedup": ratio,
     })
     print("\n" + text)
-    assert ratio >= floor, (
+    assert ratio >= 2.0, (
         f"mixed batch path only {ratio:.2f}x the scalar dispatch "
-        f"(floor {floor}x)"
+        f"(floor 2.0x)"
     )
 
 
 def test_mixed_batch_is_bit_identical_to_scalar():
     """Same mixed stream (atomics included): identical values, latencies
-    and statistics under every kernel x batching combination."""
+    and statistics batched and scalar."""
     outcomes = {}
-    modes = [("python", True), ("python", False)]
-    if columnar.USING_NUMPY:
-        modes.append(("numpy", True))
-    for kernel, batched in modes:
-        if kernel == "numpy":
-            columnar.use_numpy_kernel()
-        else:
-            columnar.use_python_kernel()
-        try:
-            chip, port, base = _build_port()
-            port.batch_enabled = batched
-            ops = _mixed_ops(4096, base, atomics=True)
-            checksum = 0
-            total_latency = 0
-            for start in range(0, len(ops), 512):
-                values, latencies = port.run_batch(ops[start:start + 512])
-                checksum += sum(v for v in values if v is not None)
-                total_latency += sum(latencies)
-            outcomes[(kernel, batched)] = (checksum, total_latency,
-                                           chip.stats_snapshot())
-        finally:
-            if not columnar.use_numpy_kernel():
-                columnar.use_python_kernel()
-    reference = outcomes[("python", False)]
-    for mode, outcome in outcomes.items():
-        assert outcome == reference, f"{mode} diverged from the scalar oracle"
+    for batched in (True, False):
+        chip, port, base = _build_port()
+        port.batch_enabled = batched
+        ops = _mixed_ops(4096, base, atomics=True)
+        checksum = 0
+        total_latency = 0
+        for start in range(0, len(ops), 512):
+            values, latencies = port.run_batch(ops[start:start + 512])
+            checksum += sum(v for v in values if v is not None)
+            total_latency += sum(latencies)
+        outcomes[batched] = (checksum, total_latency, chip.stats_snapshot())
+    assert outcomes[True] == outcomes[False]

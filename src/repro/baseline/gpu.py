@@ -277,10 +277,6 @@ class RadeonGPUModel:
         overhead_ps = wavefronts * self.wavefront_overhead_ps
         return max(compute_ps, memory_ps) + overhead_ps
 
-    def reset_cache(self) -> None:
-        """Drop the GPU cache contents (between independent kernel launches)."""
-        self._cache.l1.flush_all()
-
 
 def _zero_outcome():
     from repro.cores.interpreter import OpOutcome

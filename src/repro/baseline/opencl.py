@@ -185,10 +185,6 @@ class OpenCLSession:
     # ------------------------------------------------------------------ #
     # Kernel launch (clSetKernelArg / clEnqueueNDRangeKernel / clFinish)
     # ------------------------------------------------------------------ #
-    def set_kernel_arg(self, kernel: OpenCLKernel, index: int, value: object) -> None:
-        """clSetKernelArg."""
-        kernel.arguments[index] = value
-
     def enqueue_nd_range(self, kernel: OpenCLKernel, global_size: int,
                          args: Optional[object] = None) -> None:
         """clEnqueueNDRangeKernel followed by clFinish.
@@ -216,14 +212,6 @@ class OpenCLSession:
         self._charge("kernel", result.time_ps)
         self._charge("finish", ns_to_ps(self.config.kernel_finish_us * 1e3))
         self.stats.add("opencl.kernel_launches")
-
-    # ------------------------------------------------------------------ #
-    # Introspection
-    # ------------------------------------------------------------------ #
-    @property
-    def elapsed_ns(self) -> float:
-        """Total elapsed time in nanoseconds."""
-        return self.elapsed_ps / 1_000.0
 
 
 # --------------------------------------------------------------------------- #

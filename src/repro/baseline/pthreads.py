@@ -104,11 +104,3 @@ class PThreadsMachine:
             return
         self.total_time_ps += ns_to_ps(self.join_us * 1e3) * max(0, self.num_threads - 1)
         self.stats.add("pthreads.joins", self.num_threads - 1)
-
-    # ------------------------------------------------------------------ #
-    # Results
-    # ------------------------------------------------------------------ #
-    @property
-    def total_time_ns(self) -> float:
-        """Accumulated process time in nanoseconds."""
-        return self.total_time_ps / 1_000.0

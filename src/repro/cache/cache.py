@@ -18,7 +18,6 @@ from repro.cache.block import CacheBlock
 from repro.cache.replacement import ReplacementPolicy, make_replacement_policy
 from repro.errors import CacheError
 from repro.memory.address import CACHE_LINE_SIZE, is_power_of_two
-from repro.sim import columnar
 from repro.sim.stats import StatsRegistry
 
 #: One contiguous run of batch operations falling on the same line:
@@ -77,7 +76,6 @@ class SetAssociativeCache:
         # Precomputed bits for the access hot path: building an f-string
         # counter name per lookup is measurable at simulator scale.
         self._line_mask = ~(config.line_size - 1)
-        self._line_shift = config.line_size.bit_length() - 1
         self._hits_stat = f"{self.name}.hits"
         self._misses_stat = f"{self.name}.misses"
 
@@ -122,7 +120,7 @@ class SetAssociativeCache:
         return self._sets[set_index][way]
 
     # ------------------------------------------------------------------ #
-    # Columnar probe (batched access engine)
+    # Batch probe (batched access engine)
     # ------------------------------------------------------------------ #
     def gather_batch(self, addresses: Sequence[int], lo: int,
                      hi: int) -> Tuple[int, List[LineRun]]:
@@ -131,30 +129,33 @@ class SetAssociativeCache:
         Pure gather: no replacement touch and no counters — the caller
         inspects the returned runs (e.g. checks coherence permissions),
         decides how much of the prefix it can execute, and commits exactly
-        that much via :meth:`commit_batch`.  Stops at the first
-        non-resident line; like :meth:`probe`, nothing is recorded for it,
-        because the op retries on the scalar path whose own lookup records
-        the miss once.
+        that much via :meth:`commit_batch`.  One pass over the window
+        opens a line run whenever the line changes and returns at the
+        first non-resident line; like :meth:`probe`, nothing is recorded
+        for it, because the op retries on the scalar path whose own lookup
+        records the miss once.
         """
-        shift = self._line_shift
-        keys = columnar.shift_keys(addresses, lo, hi, shift)
-        starts = columnar.run_starts(keys)
-        # Native ints once per batch: per-run ndarray indexing and
-        # numpy-scalar hashing are several times a dict probe each.
-        keys = keys.tolist()
+        mask = self._line_mask
         where = self._where
         sets = self._sets
         runs: List[LineRun] = []
-        count = hi - lo
-        for index, run_lo in enumerate(starts):
-            run_hi = starts[index + 1] if index + 1 < len(starts) else count
-            line = keys[run_lo] << shift
-            loc = where.get(line)
-            if loc is None:
-                return lo + run_lo, runs
-            set_index, way = loc
-            runs.append((lo + run_lo, lo + run_hi, set_index, way,
-                         sets[set_index][way]))
+        line = None
+        run_lo = lo
+        set_index = way = 0
+        for index in range(lo, hi):
+            key = addresses[index] & mask
+            if key != line:
+                if line is not None:
+                    runs.append((run_lo, index, set_index, way,
+                                 sets[set_index][way]))
+                loc = where.get(key)
+                if loc is None:
+                    return index, runs
+                line = key
+                run_lo = index
+                set_index, way = loc
+        if line is not None:
+            runs.append((run_lo, hi, set_index, way, sets[set_index][way]))
         return hi, runs
 
     def commit_batch(self, runs: Sequence[LineRun], lo: int, stop: int) -> None:

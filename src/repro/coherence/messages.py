@@ -33,17 +33,6 @@ class MessageType(enum.Enum):
     WRITEBACK = "WB"             #: dirty data written back to L2 or memory
 
     @property
-    def is_request(self) -> bool:
-        """True for L1-to-directory request messages."""
-        return self in (
-            MessageType.GET_SHARED,
-            MessageType.GET_MODIFIED,
-            MessageType.UPGRADE,
-            MessageType.PUT_MODIFIED,
-            MessageType.PUT_CLEAN,
-        )
-
-    @property
     def carries_data(self) -> bool:
         """True when the message payload includes a full cache line."""
         return self in (

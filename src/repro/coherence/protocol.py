@@ -60,11 +60,6 @@ class AccessResult:
     line_address: int
     access_type: AccessType
 
-    @property
-    def l1_hit(self) -> bool:
-        """True when the access was satisfied entirely in the local L1."""
-        return self.level == "l1"
-
 
 @dataclass
 class L2Bank:

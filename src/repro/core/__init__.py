@@ -7,7 +7,7 @@ of Section 4.  :class:`~repro.core.chip.CCSVMChip` is the main entry point
 used by the examples and the experiment harness.
 """
 
-from repro.core.access import CoreMemoryPort
+from repro.mem.port import CoreMemoryPort
 from repro.core.consistency import SequentialConsistencyChecker
 from repro.core.chip import CCSVMChip, RunResult
 

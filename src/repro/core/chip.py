@@ -24,7 +24,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.coherence.protocol import CoherentMemorySystem, L2Bank
 from repro.config import CCSVMSystemConfig, ConfigurationError, ccsvm_system
-from repro.core.access import CoreMemoryPort
+from repro.mem.port import CoreMemoryPort
 from repro.mem.assemble import build_ccsvm_l1, build_l2_banks, build_l3_level
 from repro.core.consistency import SequentialConsistencyChecker
 from repro.core.xthreads.runtime import XThreadsRuntime

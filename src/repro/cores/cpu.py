@@ -65,11 +65,6 @@ class CPUCore(Agent):
         self.finished = False
         return context
 
-    @property
-    def has_work(self) -> bool:
-        """True when a program is running or queued."""
-        return self._current is not None or bool(self._queue)
-
     # ------------------------------------------------------------------ #
     # Interrupts (e.g. MTTOP page faults forwarded through the MIFD)
     # ------------------------------------------------------------------ #

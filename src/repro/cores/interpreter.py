@@ -111,7 +111,7 @@ def execute_memory_operation(operation: Operation, memory_port,
     and runtime operations), so the calling core can deal with them.  The
     ``memory_port`` must provide ``load``, ``store``, ``atomic_add`` and
     ``atomic_cas`` methods that return ``(value, latency_ps)`` /
-    ``latency_ps`` pairs — see :class:`repro.core.access.CoreMemoryPort`.
+    ``latency_ps`` pairs — see :class:`repro.mem.port.CoreMemoryPort`.
     """
     if isinstance(operation, Load):
         value, latency = memory_port.load(operation.vaddr)

@@ -160,8 +160,3 @@ class Free(Operation):
 def word_addr(base: int, index: int) -> int:
     """Address of the ``index``-th 64-bit word of an array starting at ``base``."""
     return base + index * WORD_SIZE
-
-
-def array_bytes(elements: int) -> int:
-    """Size in bytes of an array of ``elements`` 64-bit words."""
-    return elements * WORD_SIZE

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from repro.errors import InterconnectError
 
@@ -142,7 +142,3 @@ class CrossbarTopology(Topology):
         self.node_index(dst)
         return 0 if src == dst else 1
 
-
-def pair_key(src: str, dst: str) -> Tuple[str, str]:
-    """Canonical unordered pair key for per-link statistics."""
-    return (src, dst) if src <= dst else (dst, src)

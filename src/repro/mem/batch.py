@@ -21,16 +21,12 @@ Correctness argument (why results are bit-for-bit identical):
   Classifying the whole prefix against the gather-time state is therefore
   exactly equivalent to classifying op-by-op.
 * The gather phases (``TLB.translate_batch``, ``cache.gather_batch``) are
-  pure; commit applies LRU moves/touches once per same-page/same-line run
+  pure single passes that stop at the first non-resident page or line;
+  commit applies LRU moves/touches once per same-page/same-line run
   (idempotent for recency) and counters in bulk, so the post-batch
   TLB/cache/counter state equals the scalar path's.
 * Data reads/writes run in op order, so store→load forwarding inside a
   batch behaves exactly like the scalar sequence.
-
-Column arithmetic (key extraction, run detection, offset application) is
-delegated to :mod:`repro.sim.columnar`, which picks a numpy kernel when
-numpy is importable and a pure-Python ``array``-module kernel otherwise
-(``REPRO_NO_NUMPY=1`` forces the latter); both produce identical results.
 
 The engine disengages — falling back to a scalar loop over the same port
 methods — when a port has no TLB, runs with ``fast_path=False``, has a
@@ -43,7 +39,6 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from repro.coherence.states import MOESIState
-from repro.sim import columnar
 
 #: Operation kind codes used in batch columns.
 OP_LOAD = 0
@@ -78,14 +73,12 @@ BatchResult = Tuple[List[object], List[int]]
 # op.  Read-only by contract; grown on demand.
 _ZEROS: List[int] = [0] * 1024
 
-#: Max ops translated per Phase A gather.  Bounds the cost of the
-#: re-translation forced by a TLB miss mid-batch.
-_TRANSLATE_SPAN = 1024
-#: Adaptive bounds on the ops gathered per Phase B probe.  A mid-segment
-#: stop (L1 miss, permission, atomic) restarts the gather one op later
-#: and re-scans the window, so restart-heavy streams want it small; the
-#: fixed numpy cost per probe means clean streams want it large.  The
-#: span quarters on every restart and doubles on every completed window.
+#: Adaptive bounds on the ops gathered per Phase B probe.  The gather
+#: itself stops at the first L1 miss, but a trim stop (permission or
+#: atomic) restarts one op later and re-scans what the window gathered
+#: past it, so restart-heavy streams want it small; the fixed cost per
+#: probe means clean streams want it large.  The span quarters on every
+#: restart and doubles on every completed window.
 _GATHER_SPAN_MIN = 32
 _GATHER_SPAN_MAX = 1024
 
@@ -98,8 +91,8 @@ def _zeros(n: int) -> List[int]:
     return _ZEROS
 
 
-def _trim_mixed_python(kinds: Sequence[int], line_runs, i: int, l1_stop: int):
-    """Per-op prefix trim for mixed-kind segments (pure-Python kernel).
+def _trim_mixed(kinds: Sequence[int], line_runs, i: int, l1_stop: int):
+    """Per-op prefix trim for mixed-kind segments.
 
     Returns ``(stop, store_count, store_runs)`` — the fast-hit prefix end,
     the number of stores inside it, and the line runs containing stores.
@@ -204,8 +197,6 @@ def run_ccsvm_batch(port, vaddrs: Sequence[int],
     stats = coherence.stats
     words = port.physical_memory._words
 
-    npx = columnar.numpy_module() if columnar.USING_NUMPY else None
-    kinds_arr = None
     if kinds is not None:
         # Pre-slice the operand columns once so residue dispatch indexes
         # them directly instead of re-testing ``is not None`` per op.
@@ -213,19 +204,6 @@ def run_ccsvm_batch(port, vaddrs: Sequence[int],
             vals = _zeros(n)
         if vals2 is None:
             vals2 = _zeros(n)
-        if npx is not None:
-            # No copy when split_ops already produced the ndarray column.
-            kinds_arr = npx.asarray(kinds, dtype=npx.int64)
-    # One ndarray of the address column for the pure gather phases: the
-    # columnar kernels then slice views instead of re-converting the list
-    # per window.  Scalar retries keep indexing the original sequence, so
-    # the slow paths see native ints exactly as before.
-    va_col = vaddrs
-    if npx is not None:
-        try:
-            va_col = npx.asarray(vaddrs, dtype=npx.int64)
-        except (OverflowError, ValueError):
-            va_col = vaddrs
 
     # Cached Phase A translation for ops [tr_base, tr_stop).  A residue
     # op inside the span has a mapped page, so its scalar retry is a TLB
@@ -254,8 +232,7 @@ def run_ccsvm_batch(port, vaddrs: Sequence[int],
         # Phase A: pure TLB gather, reused across restarts (see above).
         if i >= tr_stop:
             tr_base = i
-            tr_stop, tr_runs, tr_paddrs = tlb.translate_batch(
-                va_col, i, min(n, i + _TRANSLATE_SPAN))
+            tr_stop, tr_runs, tr_paddrs = tlb.translate_batch(vaddrs, i, n)
             tr_ptr = 0
             if tr_stop == i:
                 # TLB miss: the scalar retry records the miss and walks.
@@ -281,8 +258,6 @@ def run_ccsvm_batch(port, vaddrs: Sequence[int],
         stop = l1_stop
         store_count = 0
         store_runs = []
-        seg_store_idx = None
-        seg_store_mask = None
         if kinds is None:
             for run in line_runs:
                 state = run[4].state
@@ -290,58 +265,8 @@ def run_ccsvm_batch(port, vaddrs: Sequence[int],
                         or state is _SHARED or state is _OWNED):
                     stop = run[0] + i
                     break
-        elif kinds_arr is not None:
-            # Columnar trim: one Python pass over the (few) line runs for
-            # permission, then vector ops over the per-op kinds.  Falls
-            # back to the per-op walk only when a run is readable but not
-            # writable (SHARED/OWNED), where the break point depends on
-            # per-op kind × per-run permission jointly.
-            rel_stop = l1_stop - i
-            all_writable = True
-            for run in line_runs:
-                if run[0] >= rel_stop:
-                    break
-                state = run[4].state
-                if state is _MODIFIED or state is _EXCLUSIVE:
-                    continue
-                if state is _SHARED or state is _OWNED:
-                    all_writable = False
-                    continue
-                rel_stop = run[0]
-                break
-            kseg = kinds_arr[i:i + rel_stop]
-            if rel_stop == 0 or not kseg.any():
-                # All loads (or empty): permission alone bounds the prefix.
-                stop = i + rel_stop
-            elif all_writable:
-                # Atomics are the only prefix breakers; stores all land on
-                # writable lines.
-                bad = kseg >= OP_ATOMIC_ADD
-                if bad.any():
-                    rel_stop = int(bad.argmax())
-                    kseg = kseg[:rel_stop]
-                stop = i + rel_stop
-                if rel_stop:
-                    store_mask = kseg == OP_STORE
-                    store_count = int(store_mask.sum())
-                    if store_count:
-                        seg_store_mask = store_mask
-                        seg_store_idx = npx.flatnonzero(store_mask).tolist()
-                        p = 0
-                        for run in line_runs:
-                            if p >= store_count:
-                                break
-                            if seg_store_idx[p] < run[1]:
-                                store_runs.append(run)
-                                run_hi = run[1]
-                                while (p < store_count
-                                       and seg_store_idx[p] < run_hi):
-                                    p += 1
-            else:
-                stop, store_count, store_runs = _trim_mixed_python(
-                    kinds, line_runs, i, i + rel_stop)
         else:
-            stop, store_count, store_runs = _trim_mixed_python(
+            stop, store_count, store_runs = _trim_mixed(
                 kinds, line_runs, i, l1_stop)
 
         if stop > i:
@@ -369,63 +294,12 @@ def run_ccsvm_batch(port, vaddrs: Sequence[int],
             lats[i:stop] = [hit_ps] * count
             get = words.get
             if kinds is None or store_count == 0:
-                if npx is not None:
-                    # Mask the whole address column at once; .tolist()
-                    # also unboxes to native ints for the dict probes,
-                    # which then run as one C-level map.
-                    pa_seq = (npx.asarray(paddrs[:count], dtype=npx.int64)
-                              & -8).tolist()
-                    vlist = list(map(get, pa_seq, _zeros(count)))
-                    if max(vlist) >= _SIGN_BIT:
-                        vlist = [word - _TWO_POW_64
-                                 if word >= _SIGN_BIT else word
-                                 for word in vlist]
-                    values[i:stop] = vlist
-                else:
-                    values[i:stop] = [
-                        word - _TWO_POW_64
-                        if (word := get(pa & ~7, 0)) >= _SIGN_BIT else word
-                        for pa in (paddrs if count == len(paddrs)
-                                   else paddrs[:count])
-                    ]
-            elif seg_store_idx is not None:
-                # Per-kind sub-vectors: mask the addresses columnar, gather
-                # the load and store positions with vector fancy-indexing,
-                # read the loads as one C-level map, scatter them back
-                # through an object-array mask assignment, and write the
-                # stores as one dict.update.  Reordering loads before
-                # stores is safe only when no store writes a word a load
-                # reads, so alias on the word sets; aliased prefixes take
-                # an in-order pass with the kind flags unboxed once.
-                pa_arr = npx.asarray(paddrs[:count], dtype=npx.int64) & -8
-                load_mask = ~seg_store_mask
-                st_addrs = pa_arr[seg_store_mask].tolist()
-                ld_addrs = (pa_arr[load_mask].tolist()
-                            if count - store_count else [])
-                if set(st_addrs).isdisjoint(ld_addrs):
-                    if ld_addrs:
-                        vlist = list(map(get, ld_addrs,
-                                         _zeros(len(ld_addrs))))
-                        if max(vlist) >= _SIGN_BIT:
-                            vlist = [word - _TWO_POW_64
-                                     if word >= _SIGN_BIT else word
-                                     for word in vlist]
-                        seg = npx.empty(count, dtype=object)
-                        seg[load_mask] = vlist
-                        values[i:stop] = seg.tolist()
-                    words.update(zip(st_addrs,
-                                     [vals[i + x] & _WORD_MASK
-                                      for x in seg_store_idx]))
-                else:
-                    for j, pa, is_load in zip(range(i, stop),
-                                              pa_arr.tolist(),
-                                              load_mask.tolist()):
-                        if is_load:
-                            word = get(pa, 0)
-                            values[j] = (word - _TWO_POW_64
-                                         if word >= _SIGN_BIT else word)
-                        else:
-                            words[pa] = vals[j] & _WORD_MASK
+                values[i:stop] = [
+                    word - _TWO_POW_64
+                    if (word := get(pa & ~7, 0)) >= _SIGN_BIT else word
+                    for pa in (paddrs if count == len(paddrs)
+                               else paddrs[:count])
+                ]
             else:
                 for j, pa in zip(range(i, stop), paddrs):
                     pa &= ~7
@@ -483,23 +357,11 @@ def run_flat_batch(port, vaddrs: Sequence[int],
     hit_ps = first.hit_latency_ps
     words = port.memory._words
 
-    npx = columnar.numpy_module() if columnar.USING_NUMPY else None
-    kinds_arr = None
     if kinds is not None:
         if vals is None:
             vals = _zeros(n)
         if vals2 is None:
             vals2 = _zeros(n)
-        if npx is not None:
-            kinds_arr = npx.asarray(kinds, dtype=npx.int64)
-    # As in the CCSVM engine: one address-column ndarray for the gather
-    # phases, scalar retries keep the original sequence.
-    va_col = vaddrs
-    if npx is not None:
-        try:
-            va_col = npx.asarray(vaddrs, dtype=npx.int64)
-        except (OverflowError, ValueError):
-            va_col = vaddrs
 
     span = _GATHER_SPAN_MAX
     i = 0
@@ -513,80 +375,24 @@ def run_flat_batch(port, vaddrs: Sequence[int],
 
         # Adaptive gather window, as in the CCSVM engine: restarts shrink
         # it so they re-scan little, completed windows grow it back so
-        # clean streams amortize the per-probe numpy cost.  Hitting the
-        # cap just continues the loop from there.
+        # clean streams amortize the per-probe cost.  Hitting the cap
+        # just continues the loop from there.
         hi = n if n <= i + span else i + span
-        stop, line_runs = cache.gather_batch(va_col, i, hi)
+        stop, line_runs = cache.gather_batch(vaddrs, i, hi)
         if kinds is not None:
             # The gather is kind-blind; an atomic inside the resident
             # prefix must still drop to the scalar port, so trim to it.
-            if kinds_arr is not None:
-                bad = kinds_arr[i:stop] >= OP_ATOMIC_ADD
-                if bad.any():
-                    stop = i + int(bad.argmax())
-            else:
-                for j in range(i, stop):
-                    k = kinds[j]
-                    if k != OP_LOAD and k != OP_STORE:
-                        stop = j
-                        break
+            for j in range(i, stop):
+                k = kinds[j]
+                if k != OP_LOAD and k != OP_STORE:
+                    stop = j
+                    break
         if stop > i:
             cache.commit_batch(line_runs, i, stop)
             get = words.get
             if kinds is None:
                 lats[i:stop] = [hit_ps] * (stop - i)
-                if npx is not None:
-                    pa_seq = (npx.asarray(va_col[i:stop], dtype=npx.int64)
-                              & -8).tolist()
-                    values[i:stop] = list(map(get, pa_seq,
-                                              _zeros(stop - i)))
-                else:
-                    values[i:stop] = [get(va & ~7, 0)
-                                      for va in vaddrs[i:stop]]
-            elif kinds_arr is not None:
-                count = stop - i
-                lats[i:stop] = [hit_ps] * count
-                store_mask = kinds_arr[i:stop] == OP_STORE
-                if not store_mask.any():
-                    pa_seq = (npx.asarray(va_col[i:stop], dtype=npx.int64)
-                              & -8).tolist()
-                    values[i:stop] = list(map(get, pa_seq, _zeros(count)))
-                else:
-                    # View (no copy) when va_col is the ndarray column.
-                    va_arr = npx.asarray(va_col[i:stop],
-                                         dtype=npx.int64) & -8
-                    load_mask = ~store_mask
-                    st_idx = npx.flatnonzero(store_mask).tolist()
-                    st_addrs = va_arr[store_mask].tolist()
-                    ld_addrs = va_arr[load_mask].tolist()
-                    # Mark the dirty bit once per line run with a store.
-                    p = 0
-                    n_st = len(st_idx)
-                    for run in line_runs:
-                        if p >= n_st:
-                            break
-                        run_hi = run[1] - i
-                        if st_idx[p] < run_hi:
-                            run[4].dirty = True
-                            while p < n_st and st_idx[p] < run_hi:
-                                p += 1
-                    if set(st_addrs).isdisjoint(ld_addrs):
-                        if ld_addrs:
-                            vlist = list(map(get, ld_addrs,
-                                             _zeros(len(ld_addrs))))
-                            seg = npx.empty(count, dtype=object)
-                            seg[load_mask] = vlist
-                            values[i:stop] = seg.tolist()
-                        words.update(zip(st_addrs,
-                                         [vals[i + x] for x in st_idx]))
-                    else:
-                        for j, va, is_load in zip(range(i, stop),
-                                                  va_arr.tolist(),
-                                                  load_mask.tolist()):
-                            if is_load:
-                                values[j] = get(va, 0)
-                            else:
-                                words[va] = vals[j]
+                values[i:stop] = [get(va & ~7, 0) for va in vaddrs[i:stop]]
             else:
                 for run_lo, run_hi, _si, _way, block in line_runs:
                     run_hi = min(run_hi, stop)
@@ -628,7 +434,7 @@ def split_ops(ops: Sequence[BatchOp]):
     """
     if not ops:
         return [], None, None, None
-    # One transpose through the selected columnar kernel: numpy does the
-    # whole (n, 4) matrix in one shot; the stdlib kernel zip-transposes at
-    # C speed.  Both collapse all-load batches to ``kinds=None``.
-    return columnar.split_columns(ops)
+    kinds, vaddrs, vals, vals2 = map(list, zip(*ops))
+    if not any(kinds):
+        return vaddrs, None, None, None
+    return vaddrs, kinds, vals, vals2

@@ -162,7 +162,7 @@ class MIFD:
 
 
 def page_fault_handler_via_mifd(mifd: MIFD):
-    """Build a :class:`~repro.core.access.CoreMemoryPort` fault handler.
+    """Build a :class:`~repro.mem.port.CoreMemoryPort` fault handler.
 
     The returned callable forwards faults from an MTTOP core's memory port
     through the MIFD, as the CCSVM chip requires (MTTOP cores do not run

@@ -312,8 +312,6 @@ class SweepService:
             job_id, index, started = entry
             duration_s = time.monotonic() - started
             link.credits += 1
-            link.points_done += 1
-            link.busy_s += duration_s
             job = self.queue.get(job_id)
             if job is not None:
                 if frame.get("ok"):
@@ -324,7 +322,12 @@ class SweepService:
                     payload = {"ok": False,
                                "error": str(frame.get("error",
                                                       "unknown worker error"))}
+                # Only a reply that settles its point counts toward the
+                # worker's totals: a late reply for a cancelled job or a
+                # duplicate would otherwise land in the next run's stats.
                 if self.queue.complete(job, index, payload):
+                    link.points_done += 1
+                    link.busy_s += duration_s
                     if payload["ok"]:
                         self._store_result(
                             job, index, str(payload["result"]),

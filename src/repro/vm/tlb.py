@@ -16,7 +16,6 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import TLBError
 from repro.memory.address import PAGE_SIZE, is_power_of_two
-from repro.sim import columnar
 from repro.sim.stats import StatsRegistry
 
 #: One contiguous run of batch operations falling on the same page:
@@ -61,7 +60,7 @@ class TLB:
         # access, so per-call f-string construction is measurable.
         self._hits_stat = f"{name}.hits"
         self._misses_stat = f"{name}.misses"
-        # The columnar probe uses shifts for vpn extraction and delegates
+        # The batch probe uses shifts for vpn extraction and delegates
         # page-offset math to TLBEntry.physical_address's PAGE_SIZE, so it
         # only engages for the standard power-of-two page geometry.
         self.batch_shift: Optional[int] = (
@@ -96,7 +95,7 @@ class TLB:
         self.stats.add(f"{self.name}.fills")
 
     # ------------------------------------------------------------------ #
-    # Columnar probe (batched access engine)
+    # Batch probe (batched access engine)
     # ------------------------------------------------------------------ #
     def translate_batch(self, vaddrs: Sequence[int], lo: int,
                         hi: int) -> Tuple[int, List[PageRun], List[int]]:
@@ -105,37 +104,39 @@ class TLB:
         Pure gather: no LRU update and no counters — the caller commits
         exactly the prefix it ends up executing via :meth:`commit_batch`,
         and any op past the returned ``stop`` retries through the scalar
-        :meth:`lookup`, which records its own hit or miss.  Returns
-        ``(stop, page_runs, paddrs)`` where ``paddrs[i]`` translates
-        ``vaddrs[lo + i]`` for ``lo <= lo + i < stop``.  ``paddrs`` is
-        whatever sequence the columnar kernel produces (an ndarray under
-        numpy, a list otherwise) — consumers index and slice it, they
-        must not assume a concrete type.
+        :meth:`lookup`, which records its own hit or miss.  One pass over
+        the window opens a page run whenever the vpn changes and returns
+        at the first non-resident page, so a miss costs only the ops
+        before it.  Returns ``(stop, page_runs, paddrs)`` where
+        ``paddrs[i]`` translates ``vaddrs[lo + i]`` for
+        ``lo <= lo + i < stop``.
         """
         shift = self.batch_shift
         if shift is None:
-            raise TLBError(f"{self.name}: columnar probe needs standard pages")
-        keys = columnar.shift_keys(vaddrs, lo, hi, shift)
-        starts = columnar.run_starts(keys)
-        # Native ints once per batch: per-run ndarray indexing and
-        # numpy-scalar hashing are several times a dict probe each.
-        keys = keys.tolist()
+            raise TLBError(f"{self.name}: batch probe needs standard pages")
         entries = self._entries
         runs: List[PageRun] = []
-        parts: List[Sequence[int]] = []
-        count = hi - lo
-        for index, run_lo in enumerate(starts):
-            run_hi = starts[index + 1] if index + 1 < len(starts) else count
-            vpn = keys[run_lo]
-            entry = entries.get(vpn)
-            if entry is None:
-                paddrs = columnar.concat_runs(parts) if parts else []
-                return lo + run_lo, runs, paddrs
-            delta = entry.frame_address - (vpn << shift)
-            parts.append(columnar.add_delta(vaddrs, lo + run_lo,
-                                            lo + run_hi, delta))
-            runs.append((lo + run_lo, lo + run_hi, vpn))
-        return hi, runs, (columnar.concat_runs(parts) if parts else [])
+        paddrs: List[int] = []
+        append = paddrs.append
+        vpn = None
+        run_lo = lo
+        delta = 0
+        for index in range(lo, hi):
+            vaddr = vaddrs[index]
+            key = vaddr >> shift
+            if key != vpn:
+                if vpn is not None:
+                    runs.append((run_lo, index, vpn))
+                entry = entries.get(key)
+                if entry is None:
+                    return index, runs, paddrs
+                vpn = key
+                run_lo = index
+                delta = entry.frame_address - (key << shift)
+            append(vaddr + delta)
+        if vpn is not None:
+            runs.append((run_lo, hi, vpn))
+        return hi, runs, paddrs
 
     def commit_batch(self, runs: Sequence[PageRun], lo: int, stop: int,
                      first: int = 0) -> None:

@@ -25,6 +25,7 @@ from typing import Optional, Union
 
 from repro.config import APUSystemConfig, CCSVMSystemConfig, ccsvm_system
 from repro.core.chip import CCSVMChip
+from repro.mem.replay import load_trace_cached
 from repro.mem.trace import Trace, TraceError, capture, replay_host_program
 from repro.workloads.base import WorkloadResult
 from repro.workloads.registry import get_variant, register_variant
@@ -59,8 +60,12 @@ def capture_trace(workload: str, *, seed: Optional[int] = None,
 
 def run_replay(trace: Union[Trace, str],
                config: Optional[CCSVMSystemConfig] = None) -> WorkloadResult:
-    """Replay a trace (object or file path) on a fresh CCSVM chip."""
-    loaded = Trace.load(trace) if isinstance(trace, str) else trace
+    """Replay a trace (object or file path) on a fresh CCSVM chip.
+
+    A path is parsed once per process (:func:`load_trace_cached`), so a
+    sweep replaying one capture across many shapes decodes it once.
+    """
+    loaded = load_trace_cached(trace) if isinstance(trace, str) else trace
     system = config if config is not None else ccsvm_system()
     chip = CCSVMChip(system)
     chip.create_process(f"replay_{loaded.workload or 'trace'}")
@@ -88,7 +93,7 @@ def run_replay_flat(trace: Union[Trace, str],
     """
     from repro.baseline.apu import AMDAPU
 
-    loaded = Trace.load(trace) if isinstance(trace, str) else trace
+    loaded = load_trace_cached(trace) if isinstance(trace, str) else trace
     if loaded.tasks:
         raise TraceError("the APU baseline replays host-only traces "
                          "(device streams have no APU CPU analog)")

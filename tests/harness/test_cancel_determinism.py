@@ -37,6 +37,19 @@ def square_point(value):
     return PointResult(rows=[{"value": value, "square": value * value}])
 
 
+#: Hold-point handshake: the held point signals ``HELD`` once it runs and
+#: returns only after ``RELEASE`` is set (the inline worker runs points on
+#: its own thread in this process, so events reach it).
+HELD = threading.Event()
+RELEASE = threading.Event()
+
+
+def held_point(value):
+    HELD.set()
+    RELEASE.wait(20.0)
+    return square_point(value)
+
+
 def _points(values):
     return [SweepPoint(spec="cancel-det", point_id=f"value={v}",
                        func=square_point, kwargs={"value": v})
@@ -146,3 +159,36 @@ class TestDistributedCancelDeterminism:
             replay = backend.run(_points(values))
             assert [r.rows for r in replay] == \
                 [r.rows for r in SerialBackend().run(_points(values))]
+
+    def test_late_reply_after_cancel_stays_out_of_the_next_runs_stats(self):
+        # One single-slot worker: point 1 is still running when the run is
+        # cancelled, so its reply can only arrive during the next run.
+        # That reply settles nothing and must not count toward the next
+        # run's per-worker totals.
+        HELD.clear()
+        RELEASE.clear()
+        first = _points([0]) + [
+            SweepPoint(spec="cancel-det", point_id="held", func=held_point,
+                       kwargs={"value": 1})]
+        second = _points([4, 5, 6])
+        backend = DistributedBackend(bind="127.0.0.1:0", min_workers=1,
+                                     start_timeout=20.0)
+        host, port = backend.listen()
+        _start_worker_thread(host, port, jobs=1)
+        with backend:
+            iterator = backend.run_iter(first)
+            assert _assert_correct([next(iterator)], [0, 1]) == {0}
+            assert HELD.wait(20.0)
+            backend.cancel()
+            assert list(iterator) == []
+            backend.reset()
+            release = threading.Timer(0.3, RELEASE.set)
+            release.start()
+            try:
+                results = backend.run(second)
+            finally:
+                release.cancel()
+                RELEASE.set()
+        assert [r.rows[0]["value"] for r in results] == [4, 5, 6]
+        assert sum(entry.points
+                   for entry in backend.last_run_worker_stats) == len(second)

@@ -7,10 +7,14 @@ statistics registry — the batch engine's contract is pure speed, zero
 observable difference.
 """
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.baseline.apu import AMDAPU
 from repro.config import small_ccsvm_system, tiny_caches_ccsvm_system
 from repro.core.chip import CCSVMChip
@@ -21,21 +25,6 @@ from repro.mem.batch import (
     OP_STORE,
     split_ops,
 )
-from repro.sim import columnar
-
-KERNELS = ["python"] + (["numpy"] if columnar.USING_NUMPY else [])
-
-
-@pytest.fixture(params=KERNELS)
-def kernel(request):
-    """Run the test body under each available columnar kernel."""
-    if request.param == "numpy":
-        columnar.use_numpy_kernel()
-    else:
-        columnar.use_python_kernel()
-    yield request.param
-    if not columnar.use_numpy_kernel():
-        columnar.use_python_kernel()
 
 
 # --------------------------------------------------------------------------- #
@@ -110,8 +99,7 @@ class TestCCSVMEquivalence:
     @pytest.mark.parametrize("config_factory", [small_ccsvm_system,
                                                 tiny_caches_ccsvm_system])
     @pytest.mark.parametrize("disturb", [False, True])
-    def test_random_stream_bit_identical(self, config_factory, disturb,
-                                         kernel):
+    def test_random_stream_bit_identical(self, config_factory, disturb):
         outcomes = {
             batch: _ccsvm_stream(config_factory(), batch, ops_seed=1234,
                                  disturb=disturb)
@@ -121,7 +109,7 @@ class TestCCSVMEquivalence:
         assert outcomes[True][1] == outcomes[False][1]   # latencies
         assert outcomes[True][2] == outcomes[False][2]   # full stats
 
-    def test_all_load_fast_lane_bit_identical(self, kernel):
+    def test_all_load_fast_lane_bit_identical(self):
         def run(batch):
             chip = CCSVMChip(small_ccsvm_system())
             chip.create_process("batch_eq")
@@ -182,11 +170,11 @@ def _apu_stream(batch, ops_seed):
 
 
 class TestAPUEquivalence:
-    def test_random_stream_bit_identical(self, kernel):
+    def test_random_stream_bit_identical(self):
         assert _apu_stream(True, ops_seed=99) == _apu_stream(False,
                                                              ops_seed=99)
 
-    def test_raw_word_semantics_preserved(self, kernel):
+    def test_raw_word_semantics_preserved(self):
         # FlatMemory stores words raw (no 64-bit wraparound); the batched
         # data phase must not silently add masking.
         def run(batch):
@@ -203,12 +191,6 @@ class TestAPUEquivalence:
 # --------------------------------------------------------------------------- #
 # split_ops
 # --------------------------------------------------------------------------- #
-def _as_lists(cols):
-    """Normalize split columns for comparison: the kind column may be an
-    ndarray under the numpy kernel (semantically identical elements)."""
-    return tuple(None if col is None else list(col) for col in cols)
-
-
 class TestSplitOps:
     def test_all_loads_collapse_to_fast_lane(self):
         vaddrs, kinds, vals, vals2 = split_ops([(OP_LOAD, 8, 0, 0),
@@ -225,27 +207,14 @@ class TestSplitOps:
         assert vals == [0, 5, 1]
         assert vals2 == [0, 0, 2]
 
-    def test_kernels_agree(self, kernel):
-        """Both split kernels produce the same columns for the same
-        randomized mixed stream (including the all-loads collapse)."""
-        rng = random.Random(9)
-        ops = mixed_ops(rng, [4096, 8192], 500)
-        assert _as_lists(split_ops(ops)) == \
-            _as_lists(columnar._split_columns_python(ops))
-        loads = [(OP_LOAD, 8 * index, 0, 0) for index in range(64)]
-        assert _as_lists(split_ops(loads)) == \
-            _as_lists(columnar._split_columns_python(loads))
-        assert split_ops([]) == ([], None, None, None)
 
-    @pytest.mark.skipif(not columnar.USING_NUMPY, reason="needs numpy")
-    def test_numpy_kernel_survives_int64_overflow(self):
-        """Operand values past int64 pass through unwrapped (the numpy
-        kernel never converts the operand columns)."""
-        ops = [(OP_STORE, 8, 2 ** 70, 0), (OP_LOAD, 16, 0, 0)]
-        columnar.use_numpy_kernel()
-        try:
-            assert _as_lists(columnar.split_columns(ops)) == \
-                _as_lists(columnar._split_columns_python(ops))
-        finally:
-            if not columnar.use_numpy_kernel():
-                columnar.use_python_kernel()
+def test_importing_the_simulator_loads_no_numpy():
+    """The batch engine is stdlib-only: importing the harness (which pulls
+    in every simulator module) must not drag numpy in."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = ("import sys, repro.harness, repro.mem.batch; "
+             "print('numpy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
