@@ -19,7 +19,7 @@ charges each its cost from :class:`~repro.config.OpenCLRuntimeConfig`:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.baseline.cpu import BaselineCPUCore
@@ -49,15 +49,10 @@ class OpenCLBuffer:
 
 @dataclass
 class OpenCLKernel:
-    """A compiled kernel plus its currently bound arguments."""
+    """A compiled kernel: its name and device function."""
 
     name: str
     function: Callable[..., object]
-    arguments: Dict[int, object] = field(default_factory=dict)
-
-    def bound_args(self) -> tuple:
-        """Arguments in positional order (used when the kernel is enqueued)."""
-        return tuple(self.arguments[index] for index in sorted(self.arguments))
 
 
 class OpenCLSession:
@@ -103,10 +98,7 @@ class OpenCLSession:
         own data.  Half the traffic is counted as reads, half as writes.
         """
         lines = (kilobytes * 1024) // CACHE_LINE_SIZE
-        for _ in range(lines // 2):
-            self.gpu.dram.read(CACHE_LINE_SIZE)
-        for _ in range(lines - lines // 2):
-            self.gpu.dram.write(CACHE_LINE_SIZE)
+        self.gpu.dram.book(reads=lines // 2, writes=lines - lines // 2)
         self.stats.add("opencl.runtime_dram_lines", lines)
 
     @property
@@ -186,13 +178,14 @@ class OpenCLSession:
     # Kernel launch (clSetKernelArg / clEnqueueNDRangeKernel / clFinish)
     # ------------------------------------------------------------------ #
     def enqueue_nd_range(self, kernel: OpenCLKernel, global_size: int,
-                         args: Optional[object] = None) -> None:
+                         args: object) -> None:
         """clEnqueueNDRangeKernel followed by clFinish.
 
-        Charges: the driver's launch overhead, a cache flush + DMA setup so
-        the GPU observes the CPU's writes (CPU→GPU communication goes
-        through off-chip DRAM on the APU), the GPU execution itself, and the
-        completion/synchronisation cost.
+        ``args`` is handed to every work item (clSetKernelArg folded into
+        the launch).  Charges: the driver's launch overhead, a cache flush
+        + DMA setup so the GPU observes the CPU's writes (CPU→GPU
+        communication goes through off-chip DRAM on the APU), the GPU
+        execution itself, and the completion/synchronisation cost.
         """
         if not self._program_built:
             raise RuntimeModelError("kernel enqueued before clBuildProgram")
@@ -206,8 +199,7 @@ class OpenCLSession:
         if self.config.dma_bandwidth_gbps > 0:
             self._charge("dma", ns_to_ps(self.config.dma_setup_us * 1e3
                                          + flush_bytes / self.config.dma_bandwidth_gbps))
-        kernel_args = args if args is not None else kernel.bound_args()
-        result = self.gpu.execute_kernel(kernel.function, kernel_args,
+        result = self.gpu.execute_kernel(kernel.function, args,
                                          work_items=range(global_size))
         self._charge("kernel", result.time_ps)
         self._charge("finish", ns_to_ps(self.config.kernel_finish_us * 1e3))

@@ -29,13 +29,23 @@ from repro.coherence.directory import Directory, DirectoryEntry
 from repro.coherence.messages import MessageType
 from repro.coherence.states import MOESIState
 from repro.errors import CoherenceError
-from repro.interconnect.network import NetworkModel
+from repro.interconnect.network import (CONTROL_MESSAGE_BYTES, DATA_MESSAGE_BYTES,
+                                        NetworkModel)
 from repro.memory.address import CACHE_LINE_SIZE
 from repro.memory.dram import DRAMModel
 from repro.sim.stats import StatsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import (avoids cycle)
     from repro.mem.levels import CacheLevel as CacheLevelLike
+
+#: MessageType value -> (payload bytes, network kind, coherence counter).
+#: Keyed by the member's string value because ``Enum.__hash__`` runs in
+#: Python on every lookup.
+_MESSAGE_TABLE = {
+    mtype._value_: (DATA_MESSAGE_BYTES if mtype.carries_data else CONTROL_MESSAGE_BYTES,
+                    mtype.counter_name, f"coherence.msg.{mtype.counter_name}")
+    for mtype in MessageType
+}
 
 
 class AccessType(enum.Enum):
@@ -137,10 +147,10 @@ class CoherentMemorySystem:
     # Message helpers (latency + accounting)
     # ------------------------------------------------------------------ #
     def _msg(self, src: str, dst: str, mtype: MessageType) -> int:
-        size = 72 if mtype.carries_data else 8
-        message = self.network.send(src, dst, size_bytes=size, kind=mtype.counter_name)
-        self.stats.add(f"coherence.msg.{mtype.counter_name}")
-        return message.latency_ps
+        size, kind, counter = _MESSAGE_TABLE[mtype._value_]
+        latency = self.network.send(src, dst, size, kind)
+        self.stats.add(counter)
+        return latency
 
     # ------------------------------------------------------------------ #
     # Public access API

@@ -8,11 +8,10 @@ the memory controllers, also per Table 2.
 """
 
 from repro.interconnect.topology import CrossbarTopology, Torus2DTopology, Topology
-from repro.interconnect.network import Message, NetworkModel
+from repro.interconnect.network import NetworkModel
 
 __all__ = [
     "CrossbarTopology",
-    "Message",
     "NetworkModel",
     "Topology",
     "Torus2DTopology",

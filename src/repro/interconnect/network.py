@@ -3,14 +3,16 @@
 The network model charges each message a per-hop router/link latency plus a
 serialisation delay derived from the configured link bandwidth (12 GB/s in
 Table 2).  Contention is not modelled — consistent with the paper's
-deliberately conservative, unoptimised memory system — but every message,
-hop and byte is counted so experiments can report traffic.
+deliberately conservative, unoptimised memory system — so a message's
+latency depends only on its route and size: :meth:`NetworkModel.send`
+computes hops and latency once per ``(src, dst, size_bytes)``, keeps them
+in a route table, and returns the latency as a plain ``int``.  Every
+message, hop and byte is still counted so experiments can report traffic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 from repro.interconnect.topology import Topology
 from repro.sim.clock import ns_to_ps
@@ -21,18 +23,6 @@ CONTROL_MESSAGE_BYTES = 8
 
 #: Data messages carry a cache line plus a header.
 DATA_MESSAGE_BYTES = 72
-
-
-@dataclass(frozen=True)
-class Message:
-    """A single network traversal, returned for inspection/testing."""
-
-    src: str
-    dst: str
-    size_bytes: int
-    hops: int
-    latency_ps: int
-    kind: str = "data"
 
 
 class NetworkModel:
@@ -58,6 +48,13 @@ class NetworkModel:
         self.per_hop_latency_ps = ns_to_ps(per_hop_latency_ns)
         self.stats = stats if stats is not None else StatsRegistry()
         self.name = name
+        self._messages_stat = f"{name}.messages"
+        self._hops_stat = f"{name}.hops"
+        self._bytes_stat = f"{name}.bytes"
+        #: kind -> its ``<name>.messages_<kind>`` counter, bound on first use.
+        self._kind_stats: Dict[str, str] = {}
+        #: (src, dst, size_bytes) -> (latency_ps, hops), filled on first use.
+        self._routes: Dict[Tuple[str, str, int], Tuple[int, int]] = {}
 
     # ------------------------------------------------------------------ #
     # Timing
@@ -68,38 +65,42 @@ class NetworkModel:
         bytes_per_ns = self.link_bandwidth_gbps  # 1 GB/s == 1 byte/ns
         return ns_to_ps(size_bytes / bytes_per_ns)
 
+    def _route(self, src: str, dst: str, size_bytes: int) -> Tuple[int, int]:
+        # The topology raises on an unknown node before anything is stored.
+        hops = self.topology.hops(src, dst)
+        route = (hops * self.per_hop_latency_ps
+                 + self._serialisation_ps(size_bytes), hops)
+        self._routes[src, dst, size_bytes] = route
+        return route
+
     def send(self, src: str, dst: str, size_bytes: int = DATA_MESSAGE_BYTES,
-             kind: str = "data") -> Message:
-        """Send one message and return its accounting record.
+             kind: str = "data") -> int:
+        """Send one message, count it, and return its latency in ps.
 
         A message between a node and itself (for example a core whose home
         L2 bank is co-located) still pays the serialisation delay but no hop
         latency.
         """
-        hops = self.topology.hops(src, dst)
-        latency = hops * self.per_hop_latency_ps + self._serialisation_ps(size_bytes)
-        self.stats.add(f"{self.name}.messages")
-        self.stats.add(f"{self.name}.messages_{kind}")
-        self.stats.add(f"{self.name}.hops", hops)
-        self.stats.add(f"{self.name}.bytes", size_bytes)
-        return Message(src=src, dst=dst, size_bytes=size_bytes, hops=hops,
-                       latency_ps=latency, kind=kind)
-
-    def control(self, src: str, dst: str, kind: str = "control") -> Message:
-        """Send a small control message (request, invalidation, ack)."""
-        return self.send(src, dst, size_bytes=CONTROL_MESSAGE_BYTES, kind=kind)
-
-    def data(self, src: str, dst: str, kind: str = "data") -> Message:
-        """Send a cache-line-sized data message."""
-        return self.send(src, dst, size_bytes=DATA_MESSAGE_BYTES, kind=kind)
+        route = self._routes.get((src, dst, size_bytes))
+        if route is None:
+            route = self._route(src, dst, size_bytes)
+        latency, hops = route
+        kind_stat = self._kind_stats.get(kind)
+        if kind_stat is None:
+            kind_stat = self._kind_stats[kind] = f"{self.name}.messages_{kind}"
+        stats = self.stats
+        stats.add(self._messages_stat)
+        stats.add(kind_stat)
+        stats.add(self._hops_stat, hops)
+        stats.add(self._bytes_stat, size_bytes)
+        return latency
 
     def round_trip(self, a: str, b: str,
                    request_bytes: int = CONTROL_MESSAGE_BYTES,
                    response_bytes: int = DATA_MESSAGE_BYTES) -> int:
         """Latency of a request/response pair between ``a`` and ``b``."""
-        there = self.send(a, b, size_bytes=request_bytes, kind="request")
-        back = self.send(b, a, size_bytes=response_bytes, kind="response")
-        return there.latency_ps + back.latency_ps
+        return (self.send(a, b, request_bytes, "request")
+                + self.send(b, a, response_bytes, "response"))
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -107,9 +108,9 @@ class NetworkModel:
     @property
     def total_messages(self) -> int:
         """Number of messages sent so far."""
-        return self.stats.get(f"{self.name}.messages")
+        return self.stats.get(self._messages_stat)
 
     @property
     def total_bytes(self) -> int:
         """Total bytes carried so far."""
-        return self.stats.get(f"{self.name}.bytes")
+        return self.stats.get(self._bytes_stat)

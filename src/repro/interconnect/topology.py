@@ -54,10 +54,10 @@ class TorusCoordinate:
 class Torus2DTopology(Topology):
     """A 2D torus with dimension-order (X then Y) minimal routing.
 
-    Nodes are placed row-major onto a ``width`` × ``height`` grid; the grid
-    is sized up automatically if more nodes than ``width*height`` are given
-    is an error.  Wrap-around links make the distance in each dimension
-    ``min(|d|, size - |d|)``.
+    Nodes are placed row-major onto a ``width`` × ``height`` grid; giving
+    more nodes than ``width*height`` is an error (:meth:`fit` picks a grid
+    just big enough).  Wrap-around links make the distance in each
+    dimension ``min(|d|, size - |d|)``.
     """
 
     def __init__(self, node_names: Sequence[str], width: int, height: int) -> None:
@@ -94,8 +94,6 @@ class Torus2DTopology(Topology):
         return min(direct, size - direct)
 
     def hops(self, src: str, dst: str) -> int:
-        if src == dst:
-            return 0
         a = self.coordinate(src)
         b = self.coordinate(dst)
         return (self._wrap_distance(a.x, b.x, self.width)

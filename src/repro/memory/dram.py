@@ -38,6 +38,10 @@ class DRAMModel:
         self.latency_ps = ns_to_ps(latency_ns)
         self.bandwidth_bytes_per_ns = bandwidth_bytes_per_ns
         self.stats = stats if stats is not None else StatsRegistry()
+        self._reads_stat = f"{name}.reads"
+        self._writes_stat = f"{name}.writes"
+        self._bytes_read_stat = f"{name}.bytes_read"
+        self._bytes_written_stat = f"{name}.bytes_written"
 
     # ------------------------------------------------------------------ #
     # Access API
@@ -49,15 +53,29 @@ class DRAMModel:
 
     def read(self, size_bytes: int = CACHE_LINE_SIZE) -> int:
         """Perform a read of ``size_bytes`` and return its latency in ps."""
-        self.stats.add(f"{self.name}.reads")
-        self.stats.add(f"{self.name}.bytes_read", size_bytes)
+        self.stats.add(self._reads_stat)
+        self.stats.add(self._bytes_read_stat, size_bytes)
         return self.latency_ps + self._serialisation_ps(size_bytes)
 
     def write(self, size_bytes: int = CACHE_LINE_SIZE) -> int:
         """Perform a write of ``size_bytes`` and return its latency in ps."""
-        self.stats.add(f"{self.name}.writes")
-        self.stats.add(f"{self.name}.bytes_written", size_bytes)
+        self.stats.add(self._writes_stat)
+        self.stats.add(self._bytes_written_stat, size_bytes)
         return self.latency_ps + self._serialisation_ps(size_bytes)
+
+    def book(self, reads: int, writes: int,
+             size_bytes: int = CACHE_LINE_SIZE) -> None:
+        """Count ``reads`` reads and ``writes`` writes of ``size_bytes``, untimed.
+
+        The counters end exactly as after that many :meth:`read` and
+        :meth:`write` calls; a zero count touches none of its counters.
+        """
+        if reads:
+            self.stats.add(self._reads_stat, reads)
+            self.stats.add(self._bytes_read_stat, reads * size_bytes)
+        if writes:
+            self.stats.add(self._writes_stat, writes)
+            self.stats.add(self._bytes_written_stat, writes * size_bytes)
 
     def access(self, is_write: bool, size_bytes: int = CACHE_LINE_SIZE) -> int:
         """Perform a read or write depending on ``is_write``."""
@@ -71,10 +89,10 @@ class DRAMModel:
     @property
     def total_accesses(self) -> int:
         """Total number of reads plus writes performed so far."""
-        return self.stats.get(f"{self.name}.reads") + self.stats.get(f"{self.name}.writes")
+        return self.stats.get(self._reads_stat) + self.stats.get(self._writes_stat)
 
     @property
     def total_bytes(self) -> int:
         """Total bytes moved to or from DRAM so far."""
-        return (self.stats.get(f"{self.name}.bytes_read")
-                + self.stats.get(f"{self.name}.bytes_written"))
+        return (self.stats.get(self._bytes_read_stat)
+                + self.stats.get(self._bytes_written_stat))

@@ -15,7 +15,7 @@ not modelled because the evaluation never relies on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import AlignmentError, PageFaultError
 from repro.memory.address import PAGE_SIZE, WORD_SIZE, is_aligned
@@ -106,6 +106,10 @@ class PageTable:
         self.node_count = 1
         #: Number of leaf mappings currently installed.
         self.mapped_pages = 0
+        #: VPN -> translation of its last successful hardware walk
+        #: (:class:`~repro.vm.walker.PageTableWalker`).  Every method that
+        #: rewrites a leaf entry drops that VPN.
+        self.walk_memo: Dict[int, TranslationResult] = {}
 
     # ------------------------------------------------------------------ #
     # Node helpers
@@ -149,6 +153,7 @@ class PageTable:
             self.mapped_pages += 1
         self._write_entry(node, leaf_index,
                           PageTableEntry.encode(frame_address, writable=writable))
+        self.walk_memo.pop(vaddr // PAGE_SIZE, None)
 
     def unmap(self, vaddr: int) -> int:
         """Remove the translation for the page containing ``vaddr``.
@@ -169,6 +174,7 @@ class PageTable:
         if not entry.present:
             raise PageFaultError(vaddr, f"unmap of unmapped address {vaddr:#x}")
         self._write_entry(node, leaf_index, 0)
+        self.walk_memo.pop(vaddr // PAGE_SIZE, None)
         self.mapped_pages -= 1
         return entry.frame_address
 
@@ -186,6 +192,7 @@ class PageTable:
             raise PageFaultError(vaddr, f"permission change on unmapped {vaddr:#x}")
         self._write_entry(node, leaf_index,
                           PageTableEntry.encode(entry.frame_address, writable=writable))
+        self.walk_memo.pop(vaddr // PAGE_SIZE, None)
 
     # ------------------------------------------------------------------ #
     # Translation (software walk — no timing)

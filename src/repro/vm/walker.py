@@ -4,24 +4,29 @@ Every core on the CCSVM chip — CPU and MTTOP alike — has its own page-table
 walker (Section 3.2.1: the x86 CPU cores require a hardware TLB-miss
 handler, and the paper adds the same structure to each MTTOP core).  On a
 TLB miss the walker reads one page-table entry per level from physical
-memory; each read is charged through a caller-supplied timing callback so
-the walk's latency reflects where the page-table lines actually live
-(L2 or DRAM).
+memory and charges each read a fixed ``default_entry_latency_ps`` (the
+chip and cache-only replay set it to an L2 hit plus four NoC hops).
+
+Since every entry read costs the same, a successful walk is a pure
+function of the page table and the VPN: it always reads all
+:data:`~repro.vm.page_table.LEVELS` entries, and its translation changes
+only when a :class:`~repro.vm.page_table.PageTable` mapping method
+rewrites that VPN's leaf entry — which drops the VPN from the table's
+``walk_memo``.  So a repeated walk is served from the memo at exactly
+the latency and counter increments of a full walk.  Faulting walks are
+never memoised: how many levels they visit depends on which intermediate
+nodes exist, and mapping any neighbouring page changes that.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.memory.address import PAGE_SIZE
 from repro.memory.physical import PhysicalMemory
 from repro.sim.stats import StatsRegistry
-from repro.vm.page_table import PageTable, PageTableEntry, TranslationResult
-
-#: Timing callback: given the physical address of a page-table entry, return
-#: the latency (in picoseconds) of reading it.
-EntryReadTiming = Callable[[int], int]
+from repro.vm.page_table import LEVELS, PageTable, PageTableEntry, TranslationResult
 
 
 @dataclass(frozen=True)
@@ -45,50 +50,42 @@ class PageTableWalker:
     ----------
     memory:
         The physical memory holding page-table nodes.
-    entry_read_timing:
-        Callback that returns the latency of reading one entry.  When
-        ``None``, a fixed ``default_entry_latency_ps`` is charged per level.
+    default_entry_latency_ps:
+        Latency charged for reading one entry.
     """
 
     def __init__(self, memory: PhysicalMemory,
-                 entry_read_timing: Optional[EntryReadTiming] = None,
                  default_entry_latency_ps: int = 20_000,
                  stats: Optional[StatsRegistry] = None,
                  name: str = "walker") -> None:
         self._memory = memory
-        self._entry_read_timing = entry_read_timing
         self.default_entry_latency_ps = default_entry_latency_ps
         self.name = name
         self.stats = stats if stats is not None else StatsRegistry()
-
-    def set_entry_read_timing(self, callback: EntryReadTiming) -> None:
-        """Install (or replace) the per-entry timing callback."""
-        self._entry_read_timing = callback
+        self._walks_stat = f"{name}.walks"
+        self._levels_stat = f"{name}.levels_read"
+        self._cycles_stat = f"{name}.cycles_ps"
+        self._faults_stat = f"{name}.faults"
 
     def walk(self, page_table: PageTable, vaddr: int) -> WalkResult:
         """Walk ``page_table`` for ``vaddr``, charging one read per level."""
-        self.stats.add(f"{self.name}.walks")
-        latency = 0
-        entry_addresses = page_table.walk_entry_addresses(vaddr)
-        last_entry: Optional[PageTableEntry] = None
-        for entry_paddr in entry_addresses:
-            if self._entry_read_timing is not None:
-                latency += self._entry_read_timing(entry_paddr)
-            else:
-                latency += self.default_entry_latency_ps
-            last_entry = PageTableEntry(self._memory.read_unsigned(entry_paddr))
-        self.stats.add(f"{self.name}.levels_read", len(entry_addresses))
-        self.stats.add(f"{self.name}.cycles_ps", latency)
-
-        if last_entry is None or not last_entry.present:
-            self.stats.add(f"{self.name}.faults")
-            return WalkResult(translation=None, latency_ps=latency,
-                              levels_visited=len(entry_addresses))
-
-        translation = TranslationResult(
-            vpn=vaddr // PAGE_SIZE,
-            frame_address=last_entry.frame_address,
-            writable=last_entry.writable,
-        )
-        return WalkResult(translation=translation, latency_ps=latency,
-                          levels_visited=len(entry_addresses))
+        stats = self.stats
+        stats.add(self._walks_stat)
+        vpn = vaddr // PAGE_SIZE
+        translation = page_table.walk_memo.get(vpn)
+        if translation is not None:
+            levels = LEVELS
+        else:
+            entry_addresses = page_table.walk_entry_addresses(vaddr)
+            levels = len(entry_addresses)
+            last_entry = PageTableEntry(self._memory.read_unsigned(entry_addresses[-1]))
+            if last_entry.present:
+                translation = page_table.walk_memo[vpn] = TranslationResult(
+                    vpn=vpn, frame_address=last_entry.frame_address,
+                    writable=last_entry.writable)
+        latency = levels * self.default_entry_latency_ps
+        stats.add(self._levels_stat, levels)
+        stats.add(self._cycles_stat, latency)
+        if translation is None:
+            stats.add(self._faults_stat)
+        return WalkResult(translation, latency, levels)

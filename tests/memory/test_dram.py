@@ -102,3 +102,15 @@ class TestDRAMModel:
         assert stats["dram_a.reads"] == 1
         assert stats["dram_b.writes"] == 1
         assert stats["dram_a.writes"] == 0
+
+    @pytest.mark.parametrize("reads,writes", [(0, 0), (0, 1), (1, 0), (16, 17)])
+    def test_book_matches_one_call_per_line(self, reads, writes):
+        booked, looped = StatsRegistry(), StatsRegistry()
+        DRAMModel(100.0, stats=booked, name="d").book(reads, writes)
+        dram = DRAMModel(100.0, stats=looped, name="d")
+        for _ in range(reads):
+            dram.read()
+        for _ in range(writes):
+            dram.write()
+        # Same values and the same key set: a zero count creates no key.
+        assert booked.to_dict() == looped.to_dict()
