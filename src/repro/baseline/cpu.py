@@ -13,8 +13,9 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.baseline.memory import FlatMemory, PrivateCacheHierarchy
-from repro.cores.interpreter import ThreadContext, ThreadProgram, execute_memory_operation
-from repro.cores.isa import Compute, Free, Malloc
+from repro.cores.interpreter import (ThreadProgram, execute_memory_operation,
+                                     not_an_operation)
+from repro.cores.isa import COMPUTE, FREE, MALLOC, Operation
 from repro.errors import KernelProgramError
 from repro.mem.batch import (BatchOp, BatchResult, OP_STORE, run_flat_batch,
                              scalar_run_batch, split_ops)
@@ -115,31 +116,37 @@ class BaselineCPUCore:
         self.stats = stats if stats is not None else StatsRegistry()
         self._issue_ps = clock.cycles_to_ps(cycles_per_instruction)
         self._malloc_ps = int(malloc_ns * 1_000)
+        self._mallocs_stat = f"{name}.mallocs"
+        self._instructions_stat = f"{name}.instructions"
 
     def run(self, program: ThreadProgram) -> BaselineRunResult:
         """Execute ``program`` to completion and return its time."""
-        context = ThreadContext(tid=0, program=program)
+        send = program.send
+        value = None
         elapsed = 0
         instructions = 0
         while True:
-            operation = context.next_operation()
-            if operation is None:
+            try:
+                operation = send(value)
+            except StopIteration:
                 break
+            if not isinstance(operation, Operation):
+                raise not_an_operation(0, operation)
             instructions += 1
             elapsed += self._issue_ps
 
-            if isinstance(operation, Compute):
+            code = operation.code
+            if code == COMPUTE:
                 elapsed += self._issue_ps * max(0, operation.amount - 1)
-                context.complete(operation, _outcome())
+                value = None
                 continue
-            if isinstance(operation, Malloc):
-                address = self.memory.allocate(operation.size)
+            if code == MALLOC:
+                value = self.memory.allocate(operation.size)
                 elapsed += self._malloc_ps
-                context.complete(operation, _outcome(value=address))
-                self.stats.add(f"{self.name}.mallocs")
+                self.stats.add(self._mallocs_stat)
                 continue
-            if isinstance(operation, Free):
-                context.complete(operation, _outcome())
+            if code == FREE:
+                value = None
                 continue
 
             memory_outcome = execute_memory_operation(operation, self.port,
@@ -160,13 +167,7 @@ class BaselineCPUCore:
                 instructions += extra
                 elapsed += self._issue_ps * extra
             elapsed += memory_outcome.latency_ps
-            context.complete(operation, memory_outcome)
+            value = memory_outcome.value
 
-        self.stats.add(f"{self.name}.instructions", instructions)
+        self.stats.add(self._instructions_stat, instructions)
         return BaselineRunResult(time_ps=elapsed, instructions=instructions)
-
-
-def _outcome(value: object = None):
-    from repro.cores.interpreter import OpOutcome
-
-    return OpOutcome(latency_ps=0, value=value)

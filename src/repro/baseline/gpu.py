@@ -29,16 +29,17 @@ from typing import Callable, Iterable, List, Optional, Sequence, Set
 
 from repro.baseline.memory import FlatMemory, PrivateCacheHierarchy
 from repro.config import APUGPUConfig
-from repro.cores.interpreter import ThreadContext, execute_memory_operation
+from repro.cores.interpreter import execute_memory_operation, not_an_operation
 from repro.cores.isa import (
-    AtomicAdd,
-    AtomicCAS,
-    AtomicDec,
-    AtomicInc,
-    Compute,
-    Load,
-    Malloc,
-    Store,
+    ATOMIC_ADD,
+    ATOMIC_CAS,
+    ATOMIC_DEC,
+    ATOMIC_INC,
+    COMPUTE,
+    LOAD,
+    MALLOC,
+    STORE,
+    Operation,
 )
 from repro.errors import KernelProgramError
 from repro.memory.address import CACHE_LINE_SIZE
@@ -48,6 +49,10 @@ from repro.sim.stats import StatsRegistry
 
 #: Work items per hardware wavefront (AMD wavefronts are 64 wide).
 WAVEFRONT_SIZE = 64
+
+#: Codes of the operations a GPU work item may issue besides compute.
+_GPU_MEMORY_CODES = frozenset((LOAD, STORE, ATOMIC_ADD, ATOMIC_CAS,
+                               ATOMIC_INC, ATOMIC_DEC))
 
 
 @dataclass(frozen=True)
@@ -219,33 +224,33 @@ class RadeonGPUModel:
         compute_operations = 0
         memory_operations = 0
         for work_item in wavefront:
-            context = ThreadContext(tid=work_item, program=kernel(work_item, args))
+            send = kernel(work_item, args).send
+            value = None
             while True:
-                operation = context.next_operation()
-                if operation is None:
+                try:
+                    operation = send(value)
+                except StopIteration:
                     break
-                if isinstance(operation, Compute):
+                if not isinstance(operation, Operation):
+                    raise not_an_operation(work_item, operation)
+                code = operation.code
+                if code == COMPUTE:
                     compute_operations += max(1, operation.amount)
-                    context.complete(operation, _zero_outcome())
+                    value = None
                     continue
-                if isinstance(operation, Malloc):
+                if code == MALLOC:
                     raise KernelProgramError(
                         "OpenCL kernels cannot dynamically allocate memory on the "
                         "APU baseline (no mttop_malloc equivalent)"
                     )
-                if not isinstance(operation, (Load, Store, AtomicAdd, AtomicCAS,
-                                              AtomicInc, AtomicDec)):
+                if code not in _GPU_MEMORY_CODES:
                     raise KernelProgramError(
                         f"GPU model cannot execute operation {operation!r}"
                     )
-                outcome = execute_memory_operation(operation, port, spin_poll_ps=0)
-                if outcome is None or outcome.retry:
-                    raise KernelProgramError(
-                        f"GPU model cannot execute operation {operation!r}"
-                    )
+                value = execute_memory_operation(operation, port,
+                                                 spin_poll_ps=0).value
                 compute_operations += 1
                 memory_operations += 1
-                context.complete(operation, outcome)
 
         if isinstance(port, _UncachedPort):
             read_lines, written_lines = port.drain()
@@ -276,9 +281,3 @@ class RadeonGPUModel:
         wavefronts = (work_items + WAVEFRONT_SIZE - 1) // WAVEFRONT_SIZE
         overhead_ps = wavefronts * self.wavefront_overhead_ps
         return max(compute_ps, memory_ps) + overhead_ps
-
-
-def _zero_outcome():
-    from repro.cores.interpreter import OpOutcome
-
-    return OpOutcome(latency_ps=0)

@@ -78,6 +78,10 @@ class SetAssociativeCache:
         self._line_mask = ~(config.line_size - 1)
         self._hits_stat = f"{self.name}.hits"
         self._misses_stat = f"{self.name}.misses"
+        self._evictions_stat = f"{self.name}.evictions"
+        self._fills_stat = f"{self.name}.fills"
+        self._invalidations_stat = f"{self.name}.invalidations"
+        self._flushes_stat = f"{self.name}.flushes"
 
     # ------------------------------------------------------------------ #
     # Address mapping
@@ -204,7 +208,7 @@ class SetAssociativeCache:
             victim_way = policy.victim(list(ways.keys()))
             victim = ways.pop(victim_way)
             del self._where[victim.line_address]
-            self.stats.add(f"{self.name}.evictions")
+            self.stats.add(self._evictions_stat)
             way = victim_way
         else:
             way = policy.victim(list(ways.keys()))
@@ -214,7 +218,7 @@ class SetAssociativeCache:
         ways[way] = block
         self._where[line] = (set_index, way)
         policy.touch(way)
-        self.stats.add(f"{self.name}.fills")
+        self.stats.add(self._fills_stat)
         return block, victim
 
     def evict(self, address: int) -> Optional[CacheBlock]:
@@ -228,7 +232,7 @@ class SetAssociativeCache:
             return None
         set_index, way = where
         block = self._sets[set_index].pop(way)
-        self.stats.add(f"{self.name}.invalidations")
+        self.stats.add(self._invalidations_stat)
         return block
 
     # ------------------------------------------------------------------ #
@@ -265,5 +269,5 @@ class SetAssociativeCache:
         for ways in self._sets:
             ways.clear()
         self._where.clear()
-        self.stats.add(f"{self.name}.flushes")
+        self.stats.add(self._flushes_stat)
         return blocks

@@ -61,6 +61,12 @@ class AccessType(enum.Enum):
         return self is not AccessType.LOAD
 
 
+#: AccessType value -> its ``coherence.accesses.*`` counter, keyed like
+#: :data:`_MESSAGE_TABLE`.
+_ACCESS_COUNTERS = {atype._value_: f"coherence.accesses.{atype._value_}"
+                    for atype in AccessType}
+
+
 @dataclass(frozen=True)
 class AccessResult:
     """Outcome of one coherent memory access."""
@@ -163,7 +169,7 @@ class CoherentMemorySystem:
             raise CoherenceError(f"node {node!r} has no registered L1")
         line = self.line_address(paddr)
         latency = info.hit_latency_ps
-        self.stats.add(f"coherence.accesses.{access_type.value}")
+        self.stats.add(_ACCESS_COUNTERS[access_type._value_])
 
         block = info.cache.lookup(line)
         if block is not None:

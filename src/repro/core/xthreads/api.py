@@ -25,7 +25,6 @@ MTTOP ``mttop_malloc(size)``       :class:`repro.cores.isa.Malloc` yielded
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from repro.cores.isa import Operation, Store, WaitValue, word_addr
@@ -47,7 +46,14 @@ def cond_entry(condition_vaddr: int, thread_id: int) -> int:
 # --------------------------------------------------------------------------- #
 # Host-side (CPU) operations
 # --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
+#: Operation codes of the runtime operations, continuing
+#: :mod:`repro.cores.isa`'s numbering.
+CREATE_MTHREAD = 13
+WAIT_COND = 14
+SIGNAL_COND = 15
+CPU_MTTOP_BARRIER = 16
+
+
 class CreateMThread(Operation):
     """Spawn MTTOP threads ``first_thread``..``last_thread`` running ``kernel``.
 
@@ -59,13 +65,17 @@ class CreateMThread(Operation):
     struct in Figure 4).
     """
 
-    kernel: Callable[..., object]
-    args: object
-    first_thread: int
-    last_thread: int
+    __slots__ = ("kernel", "args", "first_thread", "last_thread")
+    code = CREATE_MTHREAD
+
+    def __init__(self, kernel: Callable[..., object], args: object,
+                 first_thread: int, last_thread: int) -> None:
+        self.kernel = kernel
+        self.args = args
+        self.first_thread = first_thread
+        self.last_thread = last_thread
 
 
-@dataclass(frozen=True)
 class WaitCond(Operation):
     """CPU-side ``wait``: spin until every condition slot equals ``value``.
 
@@ -75,23 +85,31 @@ class WaitCond(Operation):
     condition-variable array.
     """
 
-    condition_vaddr: int
-    first_thread: int
-    last_thread: int
-    value: int = READY
+    __slots__ = ("condition_vaddr", "first_thread", "last_thread", "value")
+    code = WAIT_COND
+
+    def __init__(self, condition_vaddr: int, first_thread: int,
+                 last_thread: int, value: int = READY) -> None:
+        self.condition_vaddr = condition_vaddr
+        self.first_thread = first_thread
+        self.last_thread = last_thread
+        self.value = value
 
 
-@dataclass(frozen=True)
 class SignalCond(Operation):
     """CPU-side ``signal``: set every condition slot to ``value`` (READY)."""
 
-    condition_vaddr: int
-    first_thread: int
-    last_thread: int
-    value: int = READY
+    __slots__ = ("condition_vaddr", "first_thread", "last_thread", "value")
+    code = SIGNAL_COND
+
+    def __init__(self, condition_vaddr: int, first_thread: int,
+                 last_thread: int, value: int = READY) -> None:
+        self.condition_vaddr = condition_vaddr
+        self.first_thread = first_thread
+        self.last_thread = last_thread
+        self.value = value
 
 
-@dataclass(frozen=True)
 class CpuMttopBarrier(Operation):
     """CPU side of the global CPU+MTTOP barrier.
 
@@ -100,10 +118,15 @@ class CpuMttopBarrier(Operation):
     MTTOP threads spinning on the sense (Table 1).
     """
 
-    barrier_vaddr: int
-    sense_vaddr: int
-    first_thread: int
-    last_thread: int
+    __slots__ = ("barrier_vaddr", "sense_vaddr", "first_thread", "last_thread")
+    code = CPU_MTTOP_BARRIER
+
+    def __init__(self, barrier_vaddr: int, sense_vaddr: int,
+                 first_thread: int, last_thread: int) -> None:
+        self.barrier_vaddr = barrier_vaddr
+        self.sense_vaddr = sense_vaddr
+        self.first_thread = first_thread
+        self.last_thread = last_thread
 
 
 # --------------------------------------------------------------------------- #

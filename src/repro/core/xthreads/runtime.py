@@ -25,14 +25,18 @@ from typing import Dict, Optional
 
 from repro.cores.cpu import CPUCore
 from repro.cores.interpreter import OpOutcome, ThreadContext
-from repro.cores.isa import Free, Malloc, Operation
+from repro.cores.isa import FREE, MALLOC, Free, Malloc, Operation
 from repro.cores.mttop import MTTOPCore
 from repro.core.xthreads.api import (
+    BARRIER_ARRIVED,
+    CPU_MTTOP_BARRIER,
+    CREATE_MTHREAD,
+    SIGNAL_COND,
+    WAIT_COND,
     CpuMttopBarrier,
     CreateMThread,
     SignalCond,
     WaitCond,
-    BARRIER_ARRIVED,
     cond_entry,
 )
 from repro.core.xthreads.toolchain import CompiledProcess, XThreadsToolchain
@@ -85,19 +89,20 @@ class XThreadsRuntime:
     # ------------------------------------------------------------------ #
     def handle(self, core, lane: ThreadContext, operation: Operation) -> OpOutcome:
         """Execute one runtime operation on behalf of ``core``/``lane``."""
-        if isinstance(operation, CreateMThread):
+        code = operation.code
+        if code == CREATE_MTHREAD:
             return self._create_mthread(core, operation)
-        if isinstance(operation, WaitCond):
+        if code == WAIT_COND:
             return self._cpu_wait(core, lane, operation)
-        if isinstance(operation, SignalCond):
+        if code == SIGNAL_COND:
             return self._cpu_signal(core, operation)
-        if isinstance(operation, CpuMttopBarrier):
+        if code == CPU_MTTOP_BARRIER:
             return self._cpu_barrier(core, lane, operation)
-        if isinstance(operation, Malloc):
+        if code == MALLOC:
             if isinstance(core, MTTOPCore):
                 return self._mttop_malloc(core, operation)
             return self._cpu_malloc(core, operation)
-        if isinstance(operation, Free):
+        if code == FREE:
             return self._free(core, operation)
         raise KernelProgramError(
             f"xthreads runtime cannot handle operation {operation!r}"

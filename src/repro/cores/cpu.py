@@ -18,7 +18,7 @@ from repro.cores.interpreter import (
     ThreadProgram,
     execute_memory_operation,
 )
-from repro.cores.isa import Compute
+from repro.cores.isa import COMPUTE
 from repro.errors import KernelProgramError
 from repro.sim.clock import ClockDomain
 from repro.sim.engine import Agent, StepOutcome
@@ -45,6 +45,7 @@ class CPUCore(Agent):
         self.spin_poll_ps = spin_poll_ps
         self._issue_ps = clock.cycles_to_ps(cycles_per_instruction)
         self._instructions_stat = f"{name}.instructions"
+        self._completed_stat = f"{name}.programs_completed"
         self._queue: List[Tuple[ThreadContext, Optional[CompletionCallback]]] = []
         self._current: Optional[Tuple[ThreadContext, Optional[CompletionCallback]]] = None
         self._pending_interrupt_ps = 0
@@ -96,7 +97,7 @@ class CPUCore(Agent):
         operation = context.next_operation()
         if operation is None:
             self._current = None
-            self.stats.add(f"{self.name}.programs_completed")
+            self.stats.add(self._completed_stat)
             if on_complete is not None:
                 on_complete(self, context)
             if not self._queue:
@@ -116,9 +117,8 @@ class CPUCore(Agent):
         # current_time_ps is part of the MemoryPort protocol (defaulted by
         # every implementation), so no hasattr probe in the hot loop.
         self.memory_port.current_time_ps = self.local_time_ps
-        if isinstance(operation, Compute):
-            latency = self._issue_ps * max(1, operation.amount)
-            return OpOutcome(latency_ps=latency)
+        if operation.code == COMPUTE:
+            return OpOutcome(self._issue_ps * max(1, operation.amount))
 
         memory_outcome = execute_memory_operation(operation, self.memory_port,
                                                   self.spin_poll_ps)

@@ -5,24 +5,31 @@ the generator, get an operation, execute it against the core's memory port,
 and send the result back in.  The only differences between core types are
 issue cost, how many lanes execute together, and which runtime handles the
 non-memory operations — so everything else lives here.
+
+Every function here dispatches on the operation's integer ``code`` (see
+:mod:`repro.cores.isa`), which is the one way the package tells operations
+apart.  Loops that need no :class:`ThreadContext` or :class:`OpOutcome`
+(the APU baseline's CPU core and GPU wavefront, the Barnes-Hut functional
+reference) drive the generator themselves and raise
+:func:`not_an_operation` for a yield that is not an operation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Generator, Optional
 
 from repro.cores.isa import (
-    AtomicAdd,
-    AtomicCAS,
-    AtomicDec,
-    AtomicInc,
-    Load,
-    LoadVector,
+    ATOMIC_ADD,
+    ATOMIC_CAS,
+    ATOMIC_DEC,
+    ATOMIC_INC,
+    LOAD,
+    LOAD_VECTOR,
+    STORE,
+    STORE_VECTOR,
+    WAIT_VALUE,
     Operation,
-    Store,
-    StoreVector,
-    WaitValue,
 )
 from repro.errors import KernelProgramError
 from repro.mem.batch import (OP_ATOMIC_ADD, OP_ATOMIC_CAS, OP_LOAD, OP_STORE,
@@ -32,7 +39,6 @@ from repro.mem.batch import (OP_ATOMIC_ADD, OP_ATOMIC_CAS, OP_LOAD, OP_STORE,
 ThreadProgram = Generator[Operation, object, None]
 
 
-@dataclass
 class OpOutcome:
     """Result of executing (or attempting) one operation.
 
@@ -45,10 +51,20 @@ class OpOutcome:
     charged issue cost) as one instruction per element.
     """
 
-    latency_ps: int = 0
-    value: object = None
-    retry: bool = False
-    ops: int = 1
+    __slots__ = ("latency_ps", "value", "retry", "ops")
+
+    def __init__(self, latency_ps: int = 0, value: object = None,
+                 retry: bool = False, ops: int = 1) -> None:
+        self.latency_ps = latency_ps
+        self.value = value
+        self.retry = retry
+        self.ops = ops
+
+
+def not_an_operation(tid: int, value: object) -> KernelProgramError:
+    """The error for thread ``tid`` yielding ``value``, which is no operation."""
+    return KernelProgramError(
+        f"thread {tid} yielded {value!r}, which is not an Operation")
 
 
 @dataclass
@@ -62,8 +78,6 @@ class ThreadContext:
     pending_op: Optional[Operation] = None
     #: Value to send into the generator on the next resume.
     next_send: object = None
-    #: Count of operations this thread has completed (for tests/stats).
-    operations_executed: int = field(default=0)
 
     def next_operation(self) -> Optional[Operation]:
         """Return the operation this thread should execute next.
@@ -82,9 +96,7 @@ class ThreadContext:
             return None
         self.next_send = None
         if not isinstance(operation, Operation):
-            raise KernelProgramError(
-                f"thread {self.tid} yielded {operation!r}, which is not an Operation"
-            )
+            raise not_an_operation(self.tid, operation)
         return operation
 
     def complete(self, operation: Operation, outcome: OpOutcome) -> None:
@@ -94,7 +106,6 @@ class ThreadContext:
             return
         self.pending_op = None
         self.next_send = outcome.value
-        self.operations_executed += outcome.ops
 
 
 #: Handler for operations the core itself does not know how to execute
@@ -113,41 +124,45 @@ def execute_memory_operation(operation: Operation, memory_port,
     ``atomic_cas`` methods that return ``(value, latency_ps)`` /
     ``latency_ps`` pairs — see :class:`repro.mem.port.CoreMemoryPort`.
     """
-    if isinstance(operation, Load):
+    code = operation.code
+    if code == LOAD:
         value, latency = memory_port.load(operation.vaddr)
-        return OpOutcome(latency_ps=latency, value=value)
-    if isinstance(operation, Store):
-        latency = memory_port.store(operation.vaddr, operation.value)
-        return OpOutcome(latency_ps=latency)
-    if isinstance(operation, AtomicAdd):
+        return OpOutcome(latency, value)
+    if code == STORE:
+        return OpOutcome(memory_port.store(operation.vaddr, operation.value))
+    if code == ATOMIC_ADD:
         old, latency = memory_port.atomic_add(operation.vaddr, operation.delta)
-        return OpOutcome(latency_ps=latency, value=old)
-    if isinstance(operation, AtomicInc):
+        return OpOutcome(latency, old)
+    if code == ATOMIC_INC:
         old, latency = memory_port.atomic_add(operation.vaddr, 1)
-        return OpOutcome(latency_ps=latency, value=old)
-    if isinstance(operation, AtomicDec):
+        return OpOutcome(latency, old)
+    if code == ATOMIC_DEC:
         old, latency = memory_port.atomic_add(operation.vaddr, -1)
-        return OpOutcome(latency_ps=latency, value=old)
-    if isinstance(operation, AtomicCAS):
+        return OpOutcome(latency, old)
+    if code == ATOMIC_CAS:
         old, latency = memory_port.atomic_cas(operation.vaddr, operation.expected,
                                               operation.new)
-        return OpOutcome(latency_ps=latency, value=old)
-    if isinstance(operation, WaitValue):
+        return OpOutcome(latency, old)
+    if code == WAIT_VALUE:
         value, latency = memory_port.load(operation.vaddr)
-        satisfied = (value != operation.value) if operation.negate \
-            else (value == operation.value)
-        if satisfied:
-            return OpOutcome(latency_ps=latency, value=value)
-        return OpOutcome(latency_ps=latency + spin_poll_ps, retry=True)
-    if isinstance(operation, LoadVector):
+        return _wait_outcome(operation, value, latency, spin_poll_ps)
+    if code == LOAD_VECTOR:
         values, latencies = memory_port.load_batch(operation.vaddrs)
-        return OpOutcome(latency_ps=sum(latencies), value=tuple(values),
-                         ops=max(1, len(latencies)))
-    if isinstance(operation, StoreVector):
+        return OpOutcome(sum(latencies), tuple(values), ops=max(1, len(latencies)))
+    if code == STORE_VECTOR:
         latencies = memory_port.store_batch(operation.vaddrs, operation.values)
-        return OpOutcome(latency_ps=sum(latencies),
-                         ops=max(1, len(latencies)))
+        return OpOutcome(sum(latencies), ops=max(1, len(latencies)))
     return None
+
+
+def _wait_outcome(operation, value: object, latency_ps: int,
+                  spin_poll_ps: int) -> OpOutcome:
+    """A :class:`~repro.cores.isa.WaitValue` poll that read ``value``."""
+    satisfied = (value != operation.value) if operation.negate \
+        else (value == operation.value)
+    if satisfied:
+        return OpOutcome(latency_ps, value)
+    return OpOutcome(latency_ps + spin_poll_ps, retry=True)
 
 
 # --------------------------------------------------------------------------- #
@@ -162,21 +177,20 @@ def batch_request(operation: Operation) -> Optional[BatchOp]:
     :class:`WaitValue` is encoded as the load its poll performs; the
     spin/retry decision is re-applied by :func:`batch_outcome`.
     """
-    if isinstance(operation, Load):
+    code = operation.code
+    if code in (LOAD, WAIT_VALUE):
         return (OP_LOAD, operation.vaddr, 0, 0)
-    if isinstance(operation, Store):
+    if code == STORE:
         return (OP_STORE, operation.vaddr, operation.value, 0)
-    if isinstance(operation, AtomicAdd):
+    if code == ATOMIC_ADD:
         return (OP_ATOMIC_ADD, operation.vaddr, operation.delta, 0)
-    if isinstance(operation, AtomicInc):
+    if code == ATOMIC_INC:
         return (OP_ATOMIC_ADD, operation.vaddr, 1, 0)
-    if isinstance(operation, AtomicDec):
+    if code == ATOMIC_DEC:
         return (OP_ATOMIC_ADD, operation.vaddr, -1, 0)
-    if isinstance(operation, AtomicCAS):
+    if code == ATOMIC_CAS:
         return (OP_ATOMIC_CAS, operation.vaddr, operation.expected,
                 operation.new)
-    if isinstance(operation, WaitValue):
-        return (OP_LOAD, operation.vaddr, 0, 0)
     return None
 
 
@@ -187,12 +201,9 @@ def batch_outcome(operation: Operation, value: object, latency_ps: int,
     Mirrors exactly what :func:`execute_memory_operation` would have
     produced for the same operation and port result.
     """
-    if isinstance(operation, WaitValue):
-        satisfied = (value != operation.value) if operation.negate \
-            else (value == operation.value)
-        if satisfied:
-            return OpOutcome(latency_ps=latency_ps, value=value)
-        return OpOutcome(latency_ps=latency_ps + spin_poll_ps, retry=True)
-    if isinstance(operation, Store):
-        return OpOutcome(latency_ps=latency_ps)
-    return OpOutcome(latency_ps=latency_ps, value=value)
+    code = operation.code
+    if code == WAIT_VALUE:
+        return _wait_outcome(operation, value, latency_ps, spin_poll_ps)
+    if code == STORE:
+        return OpOutcome(latency_ps)
+    return OpOutcome(latency_ps, value)

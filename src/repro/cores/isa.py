@@ -13,63 +13,122 @@ stores, simple OpenCL-style atomics (``atomic_add``, ``atomic_inc``,
 spin-wait that the xthreads synchronisation primitives are built from.
 Runtime services (task creation, CPU/MTTOP signalling, dynamic allocation)
 are separate operation classes defined by :mod:`repro.core.xthreads.api`.
+
+Every operation is a ``__slots__`` class carrying a class-level integer
+``code`` (one of the constants below), and every interpreter dispatches on
+that code rather than on the class.  Operations are immutable by
+convention: nothing assigns to their fields after construction.  Two
+operations are equal when they are of the same class with equal fields;
+hash, ``repr`` and pickling follow the fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
 from repro.memory.address import WORD_SIZE
 
+#: Operation codes (the ``code`` class attribute of each operation).  The
+#: xthreads runtime operations continue the numbering after ``FREE``.
+LOAD = 1
+STORE = 2
+ATOMIC_ADD = 3
+ATOMIC_INC = 4
+ATOMIC_DEC = 5
+ATOMIC_CAS = 6
+WAIT_VALUE = 7
+LOAD_VECTOR = 8
+STORE_VECTOR = 9
+COMPUTE = 10
+MALLOC = 11
+FREE = 12
+
 
 class Operation:
-    """Base class for everything a thread program may yield."""
+    """Base class for everything a thread program may yield.
+
+    Subclasses list their fields in ``__slots__`` (in constructor order)
+    and set a distinct nonzero ``code``.
+    """
 
     __slots__ = ()
+    code = 0
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._fields()
 
 
 # --------------------------------------------------------------------------- #
 # Memory operations
 # --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
 class Load(Operation):
     """Load the 64-bit word at virtual address ``vaddr``; yields its value."""
 
-    vaddr: int
+    __slots__ = ("vaddr",)
+    code = LOAD
+
+    def __init__(self, vaddr: int) -> None:
+        self.vaddr = vaddr
 
 
-@dataclass(frozen=True)
 class Store(Operation):
     """Store ``value`` to the 64-bit word at virtual address ``vaddr``."""
 
-    vaddr: int
-    value: int
+    __slots__ = ("vaddr", "value")
+    code = STORE
+
+    def __init__(self, vaddr: int, value: int) -> None:
+        self.vaddr = vaddr
+        self.value = value
 
 
-@dataclass(frozen=True)
 class AtomicAdd(Operation):
     """Atomically add ``delta`` to the word at ``vaddr``; yields the old value."""
 
-    vaddr: int
-    delta: int
+    __slots__ = ("vaddr", "delta")
+    code = ATOMIC_ADD
+
+    def __init__(self, vaddr: int, delta: int) -> None:
+        self.vaddr = vaddr
+        self.delta = delta
 
 
-@dataclass(frozen=True)
 class AtomicInc(Operation):
     """Atomically increment the word at ``vaddr``; yields the old value."""
 
-    vaddr: int
+    __slots__ = ("vaddr",)
+    code = ATOMIC_INC
+
+    def __init__(self, vaddr: int) -> None:
+        self.vaddr = vaddr
 
 
-@dataclass(frozen=True)
 class AtomicDec(Operation):
     """Atomically decrement the word at ``vaddr``; yields the old value."""
 
-    vaddr: int
+    __slots__ = ("vaddr",)
+    code = ATOMIC_DEC
+
+    def __init__(self, vaddr: int) -> None:
+        self.vaddr = vaddr
 
 
-@dataclass(frozen=True)
 class AtomicCAS(Operation):
     """Atomic compare-and-swap; yields the old value.
 
@@ -77,12 +136,15 @@ class AtomicCAS(Operation):
     ``expected``.
     """
 
-    vaddr: int
-    expected: int
-    new: int
+    __slots__ = ("vaddr", "expected", "new")
+    code = ATOMIC_CAS
+
+    def __init__(self, vaddr: int, expected: int, new: int) -> None:
+        self.vaddr = vaddr
+        self.expected = expected
+        self.new = new
 
 
-@dataclass(frozen=True)
 class LoadVector(Operation):
     """Load every word in ``vaddrs``; yields the tuple of their values.
 
@@ -94,10 +156,13 @@ class LoadVector(Operation):
     of one full call chain per word.
     """
 
-    vaddrs: Tuple[int, ...]
+    __slots__ = ("vaddrs",)
+    code = LOAD_VECTOR
+
+    def __init__(self, vaddrs: Tuple[int, ...]) -> None:
+        self.vaddrs = vaddrs
 
 
-@dataclass(frozen=True)
 class StoreVector(Operation):
     """Store ``values[i]`` to ``vaddrs[i]`` for every element (no result).
 
@@ -105,11 +170,14 @@ class StoreVector(Operation):
     back-to-back scalar sequence as :class:`LoadVector`.
     """
 
-    vaddrs: Tuple[int, ...]
-    values: Tuple[int, ...]
+    __slots__ = ("vaddrs", "values")
+    code = STORE_VECTOR
+
+    def __init__(self, vaddrs: Tuple[int, ...], values: Tuple[int, ...]) -> None:
+        self.vaddrs = vaddrs
+        self.values = values
 
 
-@dataclass(frozen=True)
 class WaitValue(Operation):
     """Spin until the word at ``vaddr`` compares against ``value``.
 
@@ -119,22 +187,28 @@ class WaitValue(Operation):
     millions of back-to-back loads.
     """
 
-    vaddr: int
-    value: int
-    negate: bool = False
+    __slots__ = ("vaddr", "value", "negate")
+    code = WAIT_VALUE
+
+    def __init__(self, vaddr: int, value: int, negate: bool = False) -> None:
+        self.vaddr = vaddr
+        self.value = value
+        self.negate = negate
 
 
 # --------------------------------------------------------------------------- #
 # Non-memory operations
 # --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
 class Compute(Operation):
     """Execute ``amount`` arithmetic operations with no memory access."""
 
-    amount: int = 1
+    __slots__ = ("amount",)
+    code = COMPUTE
+
+    def __init__(self, amount: int = 1) -> None:
+        self.amount = amount
 
 
-@dataclass(frozen=True)
 class Malloc(Operation):
     """Dynamically allocate ``size`` bytes; yields the virtual address.
 
@@ -144,14 +218,21 @@ class Malloc(Operation):
     deliberately so, since that cost is part of what Figure 8 measures.
     """
 
-    size: int
+    __slots__ = ("size",)
+    code = MALLOC
+
+    def __init__(self, size: int) -> None:
+        self.size = size
 
 
-@dataclass(frozen=True)
 class Free(Operation):
     """Release a previous allocation at ``vaddr`` (no result)."""
 
-    vaddr: int
+    __slots__ = ("vaddr",)
+    code = FREE
+
+    def __init__(self, vaddr: int) -> None:
+        self.vaddr = vaddr
 
 
 # --------------------------------------------------------------------------- #

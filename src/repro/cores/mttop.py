@@ -14,7 +14,6 @@ process has completed, at which point idle cores finish.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.cores.interpreter import (
@@ -25,29 +24,33 @@ from repro.cores.interpreter import (
     batch_request,
     execute_memory_operation,
 )
-from repro.cores.isa import Compute, Operation
+from repro.cores.isa import COMPUTE, Operation
 from repro.errors import KernelProgramError, MIFDError
 from repro.sim.clock import ClockDomain
 from repro.sim.engine import Agent, StepOutcome
 from repro.sim.stats import StatsRegistry
 
 
-@dataclass
 class Warp:
-    """A SIMD-width chunk of threads executing in lockstep on one core."""
+    """A SIMD-width chunk of threads executing in lockstep on one core.
 
-    warp_id: int
-    lanes: List[ThreadContext] = field(default_factory=list)
+    ``active`` holds the lanes that still have work, in lane order, and
+    ``finished`` is True once none has; the core updates both when a
+    lane's program ends (:meth:`drop_finished`).
+    """
 
-    @property
-    def finished(self) -> bool:
-        """True when every lane's program has completed."""
-        return all(lane.finished for lane in self.lanes)
+    __slots__ = ("warp_id", "lanes", "active", "finished")
 
-    @property
-    def active_lanes(self) -> List[ThreadContext]:
-        """Lanes that still have work."""
-        return [lane for lane in self.lanes if not lane.finished]
+    def __init__(self, warp_id: int, lanes: List[ThreadContext]) -> None:
+        self.warp_id = warp_id
+        self.lanes = lanes
+        self.active = list(lanes)
+        self.finished = False
+
+    def drop_finished(self) -> None:
+        """Forget the lanes whose programs have ended."""
+        self.active = [lane for lane in self.active if not lane.finished]
+        self.finished = not self.active
 
 
 class MTTOPCore(Agent):
@@ -67,6 +70,9 @@ class MTTOPCore(Agent):
         self.stats = stats if stats is not None else StatsRegistry()
         self.spin_poll_ps = spin_poll_ps
         self._issue_ps = clock.period_ps
+        self._lane_stat = f"{name}.lane_instructions"
+        self._warp_stat = f"{name}.warp_instructions"
+        self._retired_stat = f"{name}.warps_retired"
         self._warps: List[Warp] = []
         self._next_warp_index = 0
         self._next_warp_id = 0
@@ -133,17 +139,16 @@ class MTTOPCore(Agent):
                 return warp
         return None
 
-    def _retire_finished_warps(self) -> None:
-        finished = [warp for warp in self._warps if warp.finished]
-        for warp in finished:
-            self._contexts_in_use -= len(warp.lanes)
-            self._warps.remove(warp)
-            self.stats.add(f"{self.name}.warps_retired")
+    def _retire(self, warp: Warp) -> None:
+        self._contexts_in_use -= len(warp.lanes)
+        self._warps.remove(warp)
+        self.stats.add(self._retired_stat)
         if self._next_warp_index >= max(1, len(self._warps)):
             self._next_warp_index = 0
 
     def step(self) -> StepOutcome:
-        self._retire_finished_warps()
+        # Warps retire as soon as the step that ends their last lane is
+        # done, so every listed warp is unfinished here.
         warp = self._select_warp()
         if warp is None:
             if self._halt_requested:
@@ -155,23 +160,28 @@ class MTTOPCore(Agent):
         else:
             worst_latency = 0
             warp_issues = 1
-            for lane in warp.active_lanes:
+            ended = False
+            for lane in warp.active:
                 operation = lane.next_operation()
                 if operation is None:
+                    ended = True
                     continue
                 outcome = self._execute(lane, operation)
                 lane.complete(operation, outcome)
                 worst_latency = max(worst_latency, outcome.latency_ps)
                 warp_issues = max(warp_issues, outcome.ops)
-                self.stats.add(f"{self.name}.lane_instructions", outcome.ops)
+                self.stats.add(self._lane_stat, outcome.ops)
+            if ended:
+                warp.drop_finished()
 
         self.advance(self._issue_ps + worst_latency)
         # A vector op stands for N back-to-back warp issues.
-        self.stats.add(f"{self.name}.warp_instructions", warp_issues)
-        self._retire_finished_warps()
+        self.stats.add(self._warp_stat, warp_issues)
+        if warp.finished:
+            self._retire(warp)
         return StepOutcome.RAN
 
-    def _run_lanes_batched(self, warp: Warp) -> int:
+    def _run_lanes_batched(self, warp: Warp) -> Tuple[int, int]:
         """One warp step with the lanes' memory operations batched.
 
         Lanes execute in lane order exactly as in the scalar loop, but
@@ -186,9 +196,11 @@ class MTTOPCore(Agent):
         lane_ops = 0
         warp_issues = 1
         pending: List[Tuple[ThreadContext, Operation, tuple]] = []
-        for lane in warp.active_lanes:
+        ended = False
+        for lane in warp.active:
             operation = lane.next_operation()
             if operation is None:
+                ended = True
                 continue
             lane_ops += 1
             request = batch_request(operation)
@@ -202,8 +214,10 @@ class MTTOPCore(Agent):
             warp_issues = max(warp_issues, outcome.ops)
             worst = max(worst, outcome.latency_ps)
         worst = max(worst, self._flush_batch(pending))
+        if ended:
+            warp.drop_finished()
         if lane_ops:
-            self.stats.add(f"{self.name}.lane_instructions", lane_ops)
+            self.stats.add(self._lane_stat, lane_ops)
         return worst, warp_issues
 
     def _flush_batch(self, pending: List[Tuple[ThreadContext, Operation, tuple]]) -> int:
@@ -235,10 +249,10 @@ class MTTOPCore(Agent):
         # current_time_ps is part of the MemoryPort protocol (defaulted by
         # every implementation), so no hasattr probe in the hot loop.
         self.memory_port.current_time_ps = self.local_time_ps
-        if isinstance(operation, Compute):
+        if operation.code == COMPUTE:
             # One operation per lane per cycle; lanes run in parallel, so a
             # Compute(n) costs n extra cycles for this lane.
-            return OpOutcome(latency_ps=self._issue_ps * max(0, operation.amount - 1))
+            return OpOutcome(self._issue_ps * max(0, operation.amount - 1))
 
         memory_outcome = execute_memory_operation(operation, self.memory_port,
                                                   self.spin_poll_ps)

@@ -99,34 +99,6 @@ class Torus2DTopology(Topology):
         return (self._wrap_distance(a.x, b.x, self.width)
                 + self._wrap_distance(a.y, b.y, self.height))
 
-    def route(self, src: str, dst: str) -> List[TorusCoordinate]:
-        """Return the dimension-order route as a list of coordinates.
-
-        The route includes the source and destination coordinates and is
-        used by tests and by the (optional) per-link contention model.
-        """
-        a = self.coordinate(src)
-        b = self.coordinate(dst)
-        path = [a]
-        x, y = a.x, a.y
-
-        def step_towards(current: int, target: int, size: int) -> int:
-            if current == target:
-                return current
-            forward = (target - current) % size
-            backward = (current - target) % size
-            if forward <= backward:
-                return (current + 1) % size
-            return (current - 1) % size
-
-        while x != b.x:
-            x = step_towards(x, b.x, self.width)
-            path.append(TorusCoordinate(x=x, y=y))
-        while y != b.y:
-            y = step_towards(y, b.y, self.height)
-            path.append(TorusCoordinate(x=x, y=y))
-        return path
-
 
 class CrossbarTopology(Topology):
     """A full crossbar: every node is one hop from every other node.

@@ -59,25 +59,25 @@ from repro.config import (
     ccsvm_system,
 )
 from repro.core.xthreads.api import (
-    CpuMttopBarrier,
-    CreateMThread,
-    SignalCond,
-    WaitCond,
+    CPU_MTTOP_BARRIER,
+    CREATE_MTHREAD,
+    SIGNAL_COND,
+    WAIT_COND,
     cond_entry,
 )
 from repro.cores.isa import (
-    AtomicAdd,
-    AtomicCAS,
-    AtomicDec,
-    AtomicInc,
-    Compute,
-    Free,
-    Load,
-    LoadVector,
-    Malloc,
-    Store,
-    StoreVector,
-    WaitValue,
+    ATOMIC_ADD,
+    ATOMIC_CAS,
+    ATOMIC_DEC,
+    ATOMIC_INC,
+    COMPUTE,
+    FREE,
+    LOAD,
+    LOAD_VECTOR,
+    MALLOC,
+    STORE,
+    STORE_VECTOR,
+    WAIT_VALUE,
 )
 from repro.interconnect.network import NetworkModel
 from repro.interconnect.topology import Torus2DTopology
@@ -336,27 +336,28 @@ class _PortWalker:
     # -- per-operation dispatch ---------------------------------------- #
     def memory_op(self, node: str, operation) -> bool:
         """Push ``operation`` if it is a plain memory op; False otherwise."""
-        if isinstance(operation, Load):
+        code = operation.code
+        if code == LOAD:
             self._push(node, (OP_LOAD, operation.vaddr, 0, 0))
-        elif isinstance(operation, Store):
+        elif code == STORE:
             self._push(node, (OP_STORE, operation.vaddr, operation.value, 0))
-        elif isinstance(operation, LoadVector):
+        elif code == LOAD_VECTOR:
             for vaddr in operation.vaddrs:
                 self._push(node, (OP_LOAD, vaddr, 0, 0))
-        elif isinstance(operation, StoreVector):
+        elif code == STORE_VECTOR:
             for vaddr, value in zip(operation.vaddrs, operation.values):
                 self._push(node, (OP_STORE, vaddr, value, 0))
-        elif isinstance(operation, AtomicAdd):
+        elif code == ATOMIC_ADD:
             self._push(node, (OP_ATOMIC_ADD, operation.vaddr,
                               operation.delta, 0))
-        elif isinstance(operation, AtomicInc):
+        elif code == ATOMIC_INC:
             self._push(node, (OP_ATOMIC_ADD, operation.vaddr, 1, 0))
-        elif isinstance(operation, AtomicDec):
+        elif code == ATOMIC_DEC:
             self._push(node, (OP_ATOMIC_ADD, operation.vaddr, -1, 0))
-        elif isinstance(operation, AtomicCAS):
+        elif code == ATOMIC_CAS:
             self._push(node, (OP_ATOMIC_CAS, operation.vaddr,
                               operation.expected, operation.new))
-        elif isinstance(operation, WaitValue):
+        elif code == WAIT_VALUE:
             # One poll: the captured interleaving satisfied the wait.
             self._push(node, (OP_LOAD, operation.vaddr, 0, 0))
         else:
@@ -417,28 +418,29 @@ def _compile_ccsvm(trace: Trace, simd_width: int,
                 else placement[(key[1], key[2])])
         if builder.memory_op(node, operation):
             continue
-        if isinstance(operation, (Compute, CreateMThread)):
+        code = operation.code
+        if code in (COMPUTE, CREATE_MTHREAD):
             continue
-        if isinstance(operation, Malloc):
+        if code == MALLOC:
             builder.emit(("M", operation.size))
             continue
-        if isinstance(operation, Free):
+        if code == FREE:
             builder.emit(("F", operation.vaddr))
             continue
-        if isinstance(operation, WaitCond):
+        if code == WAIT_COND:
             for tid in range(operation.first_thread,
                              operation.last_thread + 1):
                 builder._push(node, (OP_LOAD, cond_entry(
                     operation.condition_vaddr, tid), 0, 0))
             continue
-        if isinstance(operation, SignalCond):
+        if code == SIGNAL_COND:
             # Mirrors XThreadsRuntime._cpu_signal: one store per slot.
             for tid in range(operation.first_thread,
                              operation.last_thread + 1):
                 builder._push(node, (OP_STORE, cond_entry(
                     operation.condition_vaddr, tid), operation.value, 0))
             continue
-        if isinstance(operation, CpuMttopBarrier):
+        if code == CPU_MTTOP_BARRIER:
             # The satisfied-barrier sequence: read every slot, clear every
             # slot, flip the sense word.
             for tid in range(operation.first_thread,
@@ -463,12 +465,13 @@ def _compile_flat(trace: Trace) -> List[tuple]:
         node = f"cpu{key[1]}"
         if builder.memory_op(node, operation):
             continue
-        if isinstance(operation, Compute):
+        code = operation.code
+        if code == COMPUTE:
             continue
-        if isinstance(operation, Malloc):
+        if code == MALLOC:
             builder.emit(("M", operation.size))
             continue
-        if isinstance(operation, Free):
+        if code == FREE:
             builder.emit(("F", operation.vaddr))
             continue
         raise TraceError(f"the flat-memory replayer cannot execute "

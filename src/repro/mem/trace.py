@@ -33,6 +33,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional
 
 from repro.core.xthreads.api import (
+    CPU_MTTOP_BARRIER,
+    CREATE_MTHREAD,
+    SIGNAL_COND,
+    WAIT_COND,
     CpuMttopBarrier,
     CreateMThread,
     SignalCond,
@@ -40,6 +44,18 @@ from repro.core.xthreads.api import (
 )
 from repro.cores.interpreter import ThreadProgram
 from repro.cores.isa import (
+    ATOMIC_ADD,
+    ATOMIC_CAS,
+    ATOMIC_DEC,
+    ATOMIC_INC,
+    COMPUTE,
+    FREE,
+    LOAD,
+    LOAD_VECTOR,
+    MALLOC,
+    STORE,
+    STORE_VECTOR,
+    WAIT_VALUE,
     AtomicAdd,
     AtomicCAS,
     AtomicDec,
@@ -78,45 +94,46 @@ class TraceError(ReproError):
 # --------------------------------------------------------------------------- #
 def encode_operation(operation: Operation) -> list:
     """Encode one operation as a compact JSON-serialisable list."""
-    if isinstance(operation, Load):
+    code = getattr(operation, "code", 0)
+    if code == LOAD:
         return ["ld", operation.vaddr]
-    if isinstance(operation, Store):
+    if code == STORE:
         return ["st", operation.vaddr, operation.value]
-    if isinstance(operation, LoadVector):
+    if code == LOAD_VECTOR:
         return ["ldv", list(operation.vaddrs)]
-    if isinstance(operation, StoreVector):
+    if code == STORE_VECTOR:
         return ["stv", list(operation.vaddrs), list(operation.values)]
-    if isinstance(operation, AtomicAdd):
+    if code == ATOMIC_ADD:
         return ["aadd", operation.vaddr, operation.delta]
-    if isinstance(operation, AtomicInc):
+    if code == ATOMIC_INC:
         return ["ainc", operation.vaddr]
-    if isinstance(operation, AtomicDec):
+    if code == ATOMIC_DEC:
         return ["adec", operation.vaddr]
-    if isinstance(operation, AtomicCAS):
+    if code == ATOMIC_CAS:
         return ["acas", operation.vaddr, operation.expected, operation.new]
-    if isinstance(operation, WaitValue):
+    if code == WAIT_VALUE:
         return ["wait", operation.vaddr, operation.value,
                 1 if operation.negate else 0]
-    if isinstance(operation, Compute):
+    if code == COMPUTE:
         return ["cmp", operation.amount]
-    if isinstance(operation, Malloc):
+    if code == MALLOC:
         return ["mal", operation.size]
-    if isinstance(operation, Free):
+    if code == FREE:
         return ["fre", operation.vaddr]
-    if isinstance(operation, CreateMThread):
+    if code == CREATE_MTHREAD:
         args = list(operation.args) if isinstance(operation.args, (list, tuple)) \
             else operation.args
         kernel = operation.kernel if isinstance(operation.kernel, str) \
             else getattr(operation.kernel, "__qualname__", "?")
         return ["cmt", kernel, args,
                 operation.first_thread, operation.last_thread]
-    if isinstance(operation, WaitCond):
+    if code == WAIT_COND:
         return ["wcond", operation.condition_vaddr, operation.first_thread,
                 operation.last_thread, operation.value]
-    if isinstance(operation, SignalCond):
+    if code == SIGNAL_COND:
         return ["scond", operation.condition_vaddr, operation.first_thread,
                 operation.last_thread, operation.value]
-    if isinstance(operation, CpuMttopBarrier):
+    if code == CPU_MTTOP_BARRIER:
         return ["cbar", operation.barrier_vaddr, operation.sense_vaddr,
                 operation.first_thread, operation.last_thread]
     raise TraceError(f"operation {operation!r} is not traceable")
@@ -421,7 +438,7 @@ def replay_host_program(trace: Trace) -> ThreadProgram:
 
     def host():
         for operation in trace.host_ops:
-            if isinstance(operation, CreateMThread):
+            if operation.code == CREATE_MTHREAD:
                 seq = task_counter[0]
                 task_counter[0] += 1
                 operation = CreateMThread(_replay_kernel(trace, seq),

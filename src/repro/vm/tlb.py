@@ -60,6 +60,12 @@ class TLB:
         # access, so per-call f-string construction is measurable.
         self._hits_stat = f"{name}.hits"
         self._misses_stat = f"{name}.misses"
+        self._evictions_stat = f"{name}.evictions"
+        self._fills_stat = f"{name}.fills"
+        self._invalidations_stat = f"{name}.invalidations"
+        self._invalidation_misses_stat = f"{name}.invalidation_misses"
+        self._flushes_stat = f"{name}.flushes"
+        self._flushed_entries_stat = f"{name}.flushed_entries"
         # The batch probe uses shifts for vpn extraction and delegates
         # page-offset math to TLBEntry.physical_address's PAGE_SIZE, so it
         # only engages for the standard power-of-two page geometry.
@@ -90,9 +96,9 @@ class TLB:
             self._entries.move_to_end(vpn)
         elif len(self._entries) >= self.capacity:
             self._entries.popitem(last=False)
-            self.stats.add(f"{self.name}.evictions")
+            self.stats.add(self._evictions_stat)
         self._entries[vpn] = TLBEntry(vpn=vpn, frame_address=frame_address, writable=writable)
-        self.stats.add(f"{self.name}.fills")
+        self.stats.add(self._fills_stat)
 
     # ------------------------------------------------------------------ #
     # Batch probe (batched access engine)
@@ -173,17 +179,17 @@ class TLB:
         vpn = vaddr // self.page_size
         present = self._entries.pop(vpn, None) is not None
         if present:
-            self.stats.add(f"{self.name}.invalidations")
+            self.stats.add(self._invalidations_stat)
         else:
-            self.stats.add(f"{self.name}.invalidation_misses")
+            self.stats.add(self._invalidation_misses_stat)
         return present
 
     def flush(self) -> int:
         """Drop every translation; return how many were dropped."""
         dropped = len(self._entries)
         self._entries.clear()
-        self.stats.add(f"{self.name}.flushes")
-        self.stats.add(f"{self.name}.flushed_entries", dropped)
+        self.stats.add(self._flushes_stat)
+        self.stats.add(self._flushed_entries_stat, dropped)
         return dropped
 
     # ------------------------------------------------------------------ #
@@ -198,7 +204,7 @@ class TLB:
     @property
     def hit_rate(self) -> float:
         """Fraction of lookups that hit so far (0.0 when no lookups)."""
-        hits = self.stats.get(f"{self.name}.hits")
-        misses = self.stats.get(f"{self.name}.misses")
+        hits = self.stats.get(self._hits_stat)
+        misses = self.stats.get(self._misses_stat)
         total = hits + misses
         return hits / total if total else 0.0

@@ -27,7 +27,8 @@ from repro.baseline.apu import AMDAPU
 from repro.config import APUSystemConfig, CCSVMSystemConfig, ccsvm_system
 from repro.core.chip import CCSVMChip
 from repro.core.xthreads.api import CreateMThread, WaitCond, mttop_signal
-from repro.cores.isa import Compute, Load, Malloc, Store, word_addr
+from repro.cores.interpreter import not_an_operation
+from repro.cores.isa import LOAD, STORE, Compute, Load, Operation, Store, word_addr
 from repro.workloads.base import WorkloadResult
 from repro.workloads.generators import Body, nbody_bodies
 from repro.workloads.registry import register_variant
@@ -287,22 +288,22 @@ class _FunctionalMemory:
         return address
 
     def run(self, program) -> None:
-        from repro.cores.interpreter import ThreadContext, OpOutcome
-        from repro.cores.isa import Load as _Load, Store as _Store
-
-        context = ThreadContext(tid=0, program=program)
+        send = program.send
+        words = self.words
+        value = None
         while True:
-            operation = context.next_operation()
-            if operation is None:
+            try:
+                operation = send(value)
+            except StopIteration:
                 return
-            if isinstance(operation, _Load):
-                value = self.words.get(operation.vaddr & ~7, 0)
-                context.complete(operation, OpOutcome(value=value))
-            elif isinstance(operation, _Store):
-                self.words[operation.vaddr & ~7] = operation.value
-                context.complete(operation, OpOutcome())
-            else:
-                context.complete(operation, OpOutcome())
+            if not isinstance(operation, Operation):
+                raise not_an_operation(0, operation)
+            code = operation.code
+            value = None
+            if code == LOAD:
+                value = words.get(operation.vaddr & ~7, 0)
+            elif code == STORE:
+                words[operation.vaddr & ~7] = operation.value
 
     def read_array(self, base: int, count: int) -> List[int]:
         return [self.words.get((base + 8 * i) & ~7, 0) for i in range(count)]

@@ -73,17 +73,6 @@ class TestThreadContext:
         with pytest.raises(KernelProgramError):
             context.next_operation()
 
-    def test_operations_executed_counter(self):
-        def program():
-            yield Compute(1)
-            yield Compute(1)
-
-        context = ThreadContext(tid=0, program=program())
-        for _ in range(2):
-            op = context.next_operation()
-            context.complete(op, OpOutcome())
-        assert context.operations_executed == 2
-
 
 class TestExecuteMemoryOperation:
     def test_load(self):

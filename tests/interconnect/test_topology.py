@@ -35,14 +35,6 @@ class TestTorus:
             for b in names[6:]:
                 assert torus.hops(a, b) == torus.hops(b, a)
 
-    def test_route_endpoints_and_length(self):
-        names = [f"n{i}" for i in range(16)]
-        torus = Torus2DTopology(names, 4, 4)
-        route = torus.route("n0", "n10")
-        assert route[0] == torus.coordinate("n0")
-        assert route[-1] == torus.coordinate("n10")
-        assert len(route) - 1 == torus.hops("n0", "n10")
-
     def test_unknown_node_rejected(self):
         torus = Torus2DTopology(["a"], 1, 1)
         with pytest.raises(InterconnectError):
