@@ -10,9 +10,11 @@ the run.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import platform
+import statistics
 import subprocess
 
 import pytest
@@ -102,3 +104,38 @@ def run_once(benchmark, function, *args, **kwargs):
     """Run ``function`` exactly once under pytest-benchmark and return its value."""
     return benchmark.pedantic(function, args=args, kwargs=kwargs,
                               rounds=1, iterations=1)
+
+
+def interleaved_seconds(fast, slow, pairs: int):
+    """Seconds of two timed sides, measured in alternating pairs.
+
+    ``fast`` and ``slow`` are zero-argument callables that each run one
+    sample and return the seconds its timed region took (per unit of
+    work, if they like; only the per-pair ratio is gated).  Each side runs
+    once untimed to warm imports, allocator paths and caches; then the
+    two alternate ``pairs`` times, so a slow phase of a shared host hits
+    both sides of a pair rather than all samples of one side (Kalibera &
+    Jones, "Rigorous Benchmarking in Reasonable Time", ISMM 2013).
+
+    Every sample starts from a collected heap (an untimed
+    ``gc.collect()``), so no sample pays for garbage an earlier one left:
+    a full simulation leaves thousands of cyclic objects per point, and
+    inside a whole test session the collections that reclaim them also
+    walk the session's heap, landing in whichever side runs next.
+    Returns ``(fast_seconds, slow_seconds)``, one entry per pair.
+    """
+    def sample(side):
+        gc.collect()
+        return side()
+
+    fast()
+    slow()
+    times = [(sample(fast), sample(slow)) for _ in range(pairs)]
+    return [fast_s for fast_s, _ in times], [slow_s for _, slow_s in times]
+
+
+def ratio_summary(fast_seconds, slow_seconds):
+    """``(median, min, max)`` of the per-pair ``slow / fast`` ratios."""
+    ratios = sorted(slow_s / fast_s
+                    for fast_s, slow_s in zip(fast_seconds, slow_seconds))
+    return statistics.median(ratios), ratios[0], ratios[-1]

@@ -12,9 +12,11 @@ footprint) and the replayer is measured warm — parsed trace and compiled
 replay program cached, as in a sweep's steady state.  After one warm-up
 point each, the two evaluators run in :data:`PAIRS` interleaved (replay
 point, full point) pairs, so a slow phase of the shared host hits both
-sides of a pair; the gate is the median of the per-pair ratios, which a
-single disturbed pair cannot move.  The floor is 2x; measured is
-typically 2.3-4x.  The honest accounting for why it is not
+sides of a pair, and each sample starts from a collected heap, so the
+full simulation's cyclic garbage is not collected inside a replay
+sample; the gate is the median of the per-pair ratios, which a single
+disturbed pair cannot move.  The floor is 2x; measured is typically
+2.3-4x.  The honest accounting for why it is not
 more: the memory-system walk itself is shared between both evaluators
 and dominates at ~1.5-2.5us/op, the engine/scheduler overhead that
 replay removes is only ~2-4x of that, and hierarchy construction
@@ -29,7 +31,7 @@ import json
 import statistics
 import time
 
-from conftest import run_once
+from conftest import interleaved_seconds, ratio_summary, run_once
 
 from repro.mem.replay import replay_trace
 from repro.systems import system_config
@@ -44,19 +46,10 @@ _NON_HIERARCHY_PREFIXES = ("cpu", "mttop", "engine.", "xthreads.", "mifd.",
                            "sched")
 
 
-def _point_seconds(evaluate) -> float:
+def _point_seconds(evaluate, *args, **kwargs) -> float:
     started = time.perf_counter()
-    evaluate()
+    evaluate(*args, **kwargs)
     return time.perf_counter() - started
-
-
-def _interleaved_seconds(fast, full, pairs: int = PAIRS):
-    """Per-point seconds of both evaluators, timed in alternating pairs."""
-    fast()  # warm imports, allocator paths and caches outside the timing
-    full()
-    times = [(_point_seconds(fast), _point_seconds(full))
-             for _ in range(pairs)]
-    return [fast_s for fast_s, _ in times], [full_s for _, full_s in times]
 
 
 def _hierarchy(counters):
@@ -79,12 +72,10 @@ def test_cache_replay_points_per_second(benchmark, tmp_path, record_figure,
         "cache-only replay diverged from full simulation"
 
     fast_times, full_times = run_once(
-        benchmark, _interleaved_seconds,
-        lambda: replay_trace(trace_path, config),
-        lambda: run_replay(trace_path, config=config))
-    ratios = sorted(full_s / fast_s
-                    for fast_s, full_s in zip(fast_times, full_times))
-    ratio = statistics.median(ratios)
+        benchmark, interleaved_seconds,
+        lambda: _point_seconds(replay_trace, trace_path, config),
+        lambda: _point_seconds(run_replay, trace_path, config=config), PAIRS)
+    ratio, ratio_min, ratio_max = ratio_summary(fast_times, full_times)
     fast_rate = 1.0 / statistics.median(fast_times)
     full_rate = 1.0 / statistics.median(full_times)
     text = (
@@ -94,7 +85,7 @@ def test_cache_replay_points_per_second(benchmark, tmp_path, record_figure,
         f"cache-only replay (repro.mem.replay): {fast_rate:10.2f} points/s (median)\n"
         f"full simulation (trace_replay):       {full_rate:10.2f} points/s (median)\n"
         f"speedup: median {ratio:.2f}x over {PAIRS} pairs "
-        f"(min {ratios[0]:.2f}x, max {ratios[-1]:.2f}x)"
+        f"(min {ratio_min:.2f}x, max {ratio_max:.2f}x)"
     )
     record_figure("cache_replay", text)
     record_results("cache_replay", {
@@ -107,8 +98,8 @@ def test_cache_replay_points_per_second(benchmark, tmp_path, record_figure,
         "cache_replay_points_per_s": fast_rate,
         "full_simulation_points_per_s": full_rate,
         "speedup": ratio,
-        "speedup_min": ratios[0],
-        "speedup_max": ratios[-1],
+        "speedup_min": ratio_min,
+        "speedup_max": ratio_max,
     })
     print("\n" + text)
     assert ratio >= 2.0, (

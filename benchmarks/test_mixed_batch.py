@@ -7,18 +7,21 @@ data in op order.
 
 This benchmark drives a steady-state 3:1 load:store mixed stream through
 one CPU core's :meth:`~repro.mem.port.CoreMemoryPort.run_batch` batched
-and through the scalar per-op dispatch, records the rates to
+and through the scalar per-op dispatch, in :data:`PAIRS` interleaved
+(batched, scalar) pairs after one warm-up each, records the rates and
+the median, minimum and maximum per-pair ratio to
 ``benchmarks/results/mixed_batch.{txt,json}`` (plus the trajectory), and
-asserts the batched path clears a 2.0x floor.  Values, latencies and
+asserts the median ratio clears a 2.0x floor.  Values, latencies and
 every statistics counter are asserted bit-identical to the scalar
 oracle — the speedup is pure host wall-clock.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 
-from conftest import run_once
+from conftest import interleaved_seconds, ratio_summary, run_once
 
 from repro.config import small_ccsvm_system
 from repro.core.chip import CCSVMChip
@@ -27,7 +30,7 @@ from repro.mem.batch import OP_ATOMIC_ADD, OP_ATOMIC_CAS, OP_LOAD, OP_STORE
 ACCESSES = 120_000
 WORKING_SET_WORDS = 256  # resident in one page and the 8 KiB L1
 BATCH_WORDS = 4096
-REPEATS = 3
+PAIRS = 3  # interleaved (batched, scalar) timing pairs
 
 
 def _build_port():
@@ -57,49 +60,52 @@ def _mixed_ops(count: int, base: int, atomics: bool = False):
     return ops
 
 
-def _mixed_rate(batched: bool = True, accesses: int = ACCESSES,
-                repeats: int = REPEATS) -> float:
-    """Best-of-``repeats`` mixed ops/second."""
-    best = 0.0
-    for _ in range(repeats):
-        _chip, port, base = _build_port()
-        port.batch_enabled = batched
-        ops = _mixed_ops(BATCH_WORDS, base)
-        run_batch = port.run_batch
-        started = time.perf_counter()
-        for _chunk in range(accesses // BATCH_WORDS):
-            run_batch(ops)
-        elapsed = time.perf_counter() - started
-        best = max(best, accesses / elapsed)
-    return best
+def _seconds_per_access(batched: bool, accesses: int = ACCESSES) -> float:
+    """Host seconds per mixed op of one timed run."""
+    _chip, port, base = _build_port()
+    port.batch_enabled = batched
+    ops = _mixed_ops(BATCH_WORDS, base)
+    run_batch = port.run_batch
+    started = time.perf_counter()
+    for _chunk in range(accesses // BATCH_WORDS):
+        run_batch(ops)
+    return (time.perf_counter() - started) / accesses
 
 
 def test_mixed_batch_speedup(benchmark, record_figure, record_results):
     """The batched mixed path is >=2.0x scalar dispatch."""
-    batched_rate = run_once(benchmark, _mixed_rate, True)
-    scalar_rate = _mixed_rate(batched=False)
-    ratio = batched_rate / scalar_rate
+    batched_times, scalar_times = run_once(
+        benchmark, interleaved_seconds,
+        lambda: _seconds_per_access(True),
+        lambda: _seconds_per_access(False), PAIRS)
+    ratio, ratio_min, ratio_max = ratio_summary(batched_times, scalar_times)
+    batched_rate = 1.0 / statistics.median(batched_times)
+    scalar_rate = 1.0 / statistics.median(scalar_times)
     text = "\n".join([
         f"Mixed-batch microbenchmark — {ACCESSES} warm accesses in "
         f"{BATCH_WORDS}-op mixed vectors ({WORKING_SET_WORDS}-word "
-        f"working set, 3:1 load:store)",
-        f"batched:                {batched_rate:12,.0f} accesses/s",
-        f"scalar per-op dispatch: {scalar_rate:12,.0f} accesses/s",
-        f"speedup: {ratio:.2f}x",
+        f"working set, 3:1 load:store), {PAIRS} interleaved pairs",
+        f"batched:                {batched_rate:12,.0f} accesses/s (median)",
+        f"scalar per-op dispatch: {scalar_rate:12,.0f} accesses/s (median)",
+        f"speedup: median {ratio:.2f}x over {PAIRS} pairs "
+        f"(min {ratio_min:.2f}x, max {ratio_max:.2f}x)",
     ])
     record_figure("mixed_batch", text)
     record_results("mixed_batch", {
         "accesses": ACCESSES,
         "batch_words": BATCH_WORDS,
         "working_set_words": WORKING_SET_WORDS,
+        "pairs": PAIRS,
         "batched_accesses_per_s": batched_rate,
         "scalar_accesses_per_s": scalar_rate,
         "speedup": ratio,
+        "speedup_min": ratio_min,
+        "speedup_max": ratio_max,
     })
     print("\n" + text)
     assert ratio >= 2.0, (
-        f"mixed batch path only {ratio:.2f}x the scalar dispatch "
-        f"(floor 2.0x)"
+        f"mixed batch path only {ratio:.2f}x the scalar dispatch in the "
+        f"median of {PAIRS} pairs (floor 2.0x)"
     )
 
 

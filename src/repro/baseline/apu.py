@@ -16,14 +16,14 @@ from typing import List, Optional, Sequence
 
 from repro.baseline.cpu import BaselineCPUCore, BaselineRunResult
 from repro.baseline.gpu import RadeonGPUModel
-from repro.baseline.memory import FlatMemory, PrivateCacheHierarchy
+from repro.baseline.memory import FlatMemory
 from repro.baseline.opencl import OpenCLSession
 from repro.baseline.pthreads import PThreadsMachine
 from repro.config import APUSystemConfig, amd_apu_system
 from repro.cores.interpreter import ThreadProgram
-from repro.mem.assemble import build_apu_shared_l2
+from repro.mem.assemble import build_apu_cpu_hierarchies
 from repro.memory.dram import DRAMModel
-from repro.sim.clock import ClockDomain, ns_to_ps
+from repro.sim.clock import ClockDomain
 from repro.sim.stats import StatsRegistry
 
 
@@ -38,29 +38,13 @@ class AMDAPU:
                               name="dram")
         self.cpu_clock = ClockDomain.from_ghz("apu_cpu", self.config.cpu.frequency_ghz)
 
-        # Hierarchy shape: private per-core L2s (Table 2), or one pooled
-        # level every core stacks its L1 on (the apu-shared-l2 preset).
-        shared_l2 = build_apu_shared_l2(self.config, stats=self.stats)
-        self.cpu_cores: List[BaselineCPUCore] = []
-        for index in range(self.config.cpu.count):
-            hierarchy = PrivateCacheHierarchy(
-                name=f"apu_cpu{index}",
-                dram=self.dram,
-                l1_size_bytes=self.config.cpu.l1_size_bytes,
-                l1_associativity=self.config.cpu.l1_associativity,
-                l1_hit_ps=ns_to_ps(self.config.cpu.l1_hit_ns),
-                l2_size_bytes=self.config.cpu.l2_size_bytes,
-                l2_associativity=self.config.cpu.l2_associativity,
-                l2_hit_ps=ns_to_ps(self.config.cpu.l2_hit_ns),
-                l1_replacement=self.config.cpu.l1_replacement,
-                l2_replacement=self.config.cpu.l2_replacement,
-                shared_l2=shared_l2,
-                stats=self.stats)
-            core = BaselineCPUCore(
-                name=f"apu_cpu{index}", clock=self.cpu_clock,
+        self.cpu_cores: List[BaselineCPUCore] = [
+            BaselineCPUCore(
+                name=hierarchy.name, clock=self.cpu_clock,
                 cycles_per_instruction=self.config.cpu.cycles_per_instruction,
                 memory=self.memory, hierarchy=hierarchy, stats=self.stats)
-            self.cpu_cores.append(core)
+            for hierarchy in build_apu_cpu_hierarchies(
+                self.config, self.dram, self.config.cpu.count, self.stats)]
 
         self.gpu = RadeonGPUModel(self.config.gpu, self.memory, self.dram,
                                   stats=self.stats,

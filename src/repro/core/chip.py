@@ -1,11 +1,14 @@
 """Assembly of the CCSVM heterogeneous multicore chip (Figure 1).
 
 :class:`CCSVMChip` builds the full simulated system from a
-:class:`~repro.config.CCSVMSystemConfig`: CPU cores and MTTOP cores, each
-with a private L1, TLB and page-table walker; a banked shared inclusive L2
-with the MOESI directory embedded in it; a 2D torus interconnect; off-chip
-DRAM; the MIFD; and the xthreads runtime.  A run executes one xthreads
-process: its host program on a CPU core plus whatever MTTOP tasks the host
+:class:`~repro.config.CCSVMSystemConfig`.  Its memory system — a private
+L1, TLB and page-table walker per CPU and MTTOP core; a banked shared
+inclusive L2 with the MOESI directory embedded in it; a 2D torus
+interconnect; off-chip DRAM — is the
+:class:`~repro.mem.assemble.CCSVMMemory` it extends, the same one
+cache-only replay builds.  On top the chip adds the CPU and MTTOP cores,
+the MIFD and the xthreads runtime.  A run executes one xthreads process:
+its host program on a CPU core plus whatever MTTOP tasks the host
 launches.
 
 Typical use::
@@ -22,10 +25,7 @@ import inspect
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
-from repro.coherence.protocol import CoherentMemorySystem, L2Bank
-from repro.config import CCSVMSystemConfig, ConfigurationError, ccsvm_system
-from repro.mem.port import CoreMemoryPort
-from repro.mem.assemble import build_ccsvm_l1, build_l2_banks, build_l3_level
+from repro.config import CCSVMSystemConfig, ccsvm_system
 from repro.core.consistency import SequentialConsistencyChecker
 from repro.core.xthreads.runtime import XThreadsRuntime
 from repro.core.xthreads.toolchain import CompiledProcess, XThreadsToolchain
@@ -33,21 +33,15 @@ from repro.cores.cpu import CPUCore
 from repro.cores.interpreter import ThreadProgram
 from repro.cores.mttop import MTTOPCore
 from repro.errors import SimulationError
-from repro.interconnect.network import NetworkModel
-from repro.interconnect.topology import Torus2DTopology
-from repro.memory.dram import DRAMModel
-from repro.memory.physical import FrameAllocator, PhysicalMemory
+from repro.mem.assemble import CCSVMMemory
 from repro.mem.trace import active_recorder as trace_active_recorder
 from repro.memory.address import WORD_SIZE
 from repro.mifd.device import MIFD, page_fault_handler_via_mifd
 from repro.mifd.driver import MIFDDriver
-from repro.sim.clock import ClockDomain, ns_to_ps, ps_to_ns
+from repro.sim.clock import ns_to_ps, ps_to_ns
 from repro.sim.engine import Engine
 from repro.sim.stats import StatsRegistry
-from repro.vm.manager import AddressSpace, VirtualMemoryManager
-from repro.vm.shootdown import TLBShootdownController
-from repro.vm.tlb import TLB
-from repro.vm.walker import PageTableWalker
+from repro.vm.manager import AddressSpace
 
 #: A host program may be passed as a ready generator or as a zero-argument
 #: generator function.
@@ -78,36 +72,27 @@ class RunResult:
         return self.stats.get("dram.reads") + self.stats.get("dram.writes")
 
 
-class CCSVMChip:
-    """The simulated CCSVM heterogeneous multicore chip."""
+class CCSVMChip(CCSVMMemory):
+    """The simulated CCSVM heterogeneous multicore chip.
+
+    The memory system is the :class:`~repro.mem.assemble.CCSVMMemory`
+    base; the chip adds the engine, one core per port, the MIFD and the
+    xthreads runtime.  ``fast_access_path=False`` runs every access
+    through the general transaction path, the reference that
+    ``tests/mem/test_fast_path.py`` and ``benchmarks/test_access_path.py``
+    compare the fast path against.
+    """
 
     def __init__(self, config: Optional[CCSVMSystemConfig] = None,
                  check_sc: bool = False,
                  max_engine_steps: int = 200_000_000,
-                 engine_scheduler: str = "heap",
                  fast_access_path: bool = True) -> None:
-        self.config = config if config is not None else ccsvm_system()
-        if self.config.mttop.write_through:
-            # The config field exists (the paper discusses write-through
-            # MTTOP L1s as an open challenge, Section 6.1) but every
-            # modeled transaction path assumes write-back caches (Section
-            # 3.2.2).  Refuse to build rather than silently simulate the
-            # wrong machine.
-            raise ConfigurationError(
-                "mttop.write_through=true is not modeled: the simulated "
-                "CCSVM chip implements write-back MTTOP L1s only (paper "
-                "Section 3.2.2); write-through L1s are an unimplemented "
-                "feature")
-        self.fast_access_path = fast_access_path
-        self.stats = StatsRegistry()
-        self.engine = Engine(max_steps=max_engine_steps,
-                             scheduler=engine_scheduler)
-        self.check_sc = check_sc
-        self.sc_checker = SequentialConsistencyChecker() if check_sc else None
-
-        self._build_memory()
-        self._build_interconnect()
-        self._build_l2_and_coherence()
+        super().__init__(config if config is not None else ccsvm_system(),
+                         StatsRegistry(),
+                         sc_checker=(SequentialConsistencyChecker()
+                                     if check_sc else None),
+                         fast_path=fast_access_path)
+        self.engine = Engine(max_steps=max_engine_steps)
         self._build_cores()
         self._build_mifd_and_runtime()
 
@@ -120,101 +105,23 @@ class CCSVMChip:
     # ------------------------------------------------------------------ #
     # Construction helpers
     # ------------------------------------------------------------------ #
-    def _build_memory(self) -> None:
-        cfg = self.config
-        self.physical_memory = PhysicalMemory(cfg.dram.size_bytes)
-        self.frames = FrameAllocator(cfg.dram.size_bytes)
-        self.vm = VirtualMemoryManager(self.physical_memory, self.frames,
-                                       stats=self.stats)
-        self.dram = DRAMModel(cfg.dram.latency_ns, stats=self.stats, name="dram")
-        self.shootdown = TLBShootdownController(stats=self.stats)
-
-    def _build_interconnect(self) -> None:
-        cfg = self.config
-        self.cpu_nodes = [f"cpu{i}" for i in range(cfg.cpu.count)]
-        self.mttop_nodes = [f"mttop{i}" for i in range(cfg.mttop.count)]
-        self.l2_nodes = [f"l2b{i}" for i in range(cfg.l2.banks)]
-        self.memory_node = "mem0"
-        all_nodes = self.cpu_nodes + self.mttop_nodes + self.l2_nodes + [self.memory_node]
-        self.topology = Torus2DTopology.fit(all_nodes)
-        self.network = NetworkModel(self.topology,
-                                    link_bandwidth_gbps=cfg.noc.link_bandwidth_gbps,
-                                    per_hop_latency_ns=cfg.noc.hop_latency_ns,
-                                    stats=self.stats)
-
-    def _build_l2_and_coherence(self) -> None:
-        cfg = self.config
-        self.cpu_clock = ClockDomain.from_ghz("cpu", cfg.cpu.frequency_ghz)
-        self.mttop_clock = ClockDomain.from_mhz("mttop", cfg.mttop.frequency_mhz)
-        l2_hit_ps = self.cpu_clock.cycles_to_ps(cfg.l2.hit_latency_cpu_cycles)
-
-        self.l2_banks: List[L2Bank] = build_l2_banks(cfg, self.l2_nodes,
-                                                     l2_hit_ps, stats=self.stats)
-        self.l3_level = build_l3_level(cfg, self.cpu_clock, stats=self.stats)
-        self.coherence = CoherentMemorySystem(self.network, self.dram,
-                                              self.l2_banks, self.memory_node,
-                                              stats=self.stats,
-                                              l3=self.l3_level)
-        self._l2_hit_ps = l2_hit_ps
-
-    def _make_memory_port(self, node: str, tlb_entries: int) -> CoreMemoryPort:
-        tlb: Optional[TLB] = None
-        if self.config.tlb_enabled:
-            tlb = TLB(entries=tlb_entries, stats=self.stats, name=f"tlb.{node}")
-        hop_ps = ns_to_ps(self.config.noc.hop_latency_ns)
-        walker = PageTableWalker(
-            self.physical_memory,
-            default_entry_latency_ps=self._l2_hit_ps + 4 * hop_ps,
-            stats=self.stats, name=f"walker.{node}")
-        return CoreMemoryPort(node=node, tlb=tlb, walker=walker,
-                              coherence=self.coherence,
-                              physical_memory=self.physical_memory,
-                              vm_manager=self.vm, stats=self.stats,
-                              sc_checker=self.sc_checker,
-                              fast_path=self.fast_access_path,
-                              batch_enabled=self.config.batch_access)
-
     def _build_cores(self) -> None:
         cfg = self.config
         spin_poll_ps = ns_to_ps(cfg.spin_poll_ns)
-
-        self.cpu_cores: List[CPUCore] = []
-        cpu_l1_hit_ps = self.cpu_clock.cycles_to_ps(cfg.cpu.l1_hit_cycles)
-        for node in self.cpu_nodes:
-            l1 = build_ccsvm_l1(node, size_bytes=cfg.cpu.l1_size_bytes,
-                                associativity=cfg.cpu.l1_associativity,
-                                hit_latency_ps=cpu_l1_hit_ps,
-                                replacement=cfg.cpu.l1_replacement,
-                                stats=self.stats)
-            self.coherence.register_l1(node, l1, cpu_l1_hit_ps)
-            port = self._make_memory_port(node, cfg.cpu.tlb_entries)
-            if port.tlb is not None:
-                self.shootdown.register_cpu_tlb(port.tlb)
-            core = CPUCore(node, self.cpu_clock,
-                           cycles_per_instruction=cfg.cpu.cycles_per_instruction,
-                           memory_port=port, stats=self.stats,
-                           spin_poll_ps=spin_poll_ps)
-            self.cpu_cores.append(core)
-            self.engine.add_agent(core)
-
-        self.mttop_cores: List[MTTOPCore] = []
-        mttop_l1_hit_ps = self.mttop_clock.cycles_to_ps(cfg.mttop.l1_hit_cycles)
-        for node in self.mttop_nodes:
-            l1 = build_ccsvm_l1(node, size_bytes=cfg.mttop.l1_size_bytes,
-                                associativity=cfg.mttop.l1_associativity,
-                                hit_latency_ps=mttop_l1_hit_ps,
-                                replacement=cfg.mttop.l1_replacement,
-                                stats=self.stats)
-            self.coherence.register_l1(node, l1, mttop_l1_hit_ps)
-            port = self._make_memory_port(node, cfg.mttop.tlb_entries)
-            if port.tlb is not None:
-                self.shootdown.register_mttop_tlb(port.tlb)
-            core = MTTOPCore(node, self.mttop_clock,
-                             simd_width=cfg.mttop.simd_width,
-                             thread_contexts=cfg.mttop.thread_contexts,
-                             memory_port=port, stats=self.stats,
-                             spin_poll_ps=spin_poll_ps)
-            self.mttop_cores.append(core)
+        self.cpu_cores: List[CPUCore] = [
+            CPUCore(node, self.cpu_clock,
+                    cycles_per_instruction=cfg.cpu.cycles_per_instruction,
+                    memory_port=self.ports[node], stats=self.stats,
+                    spin_poll_ps=spin_poll_ps)
+            for node in self.cpu_nodes]
+        self.mttop_cores: List[MTTOPCore] = [
+            MTTOPCore(node, self.mttop_clock,
+                      simd_width=cfg.mttop.simd_width,
+                      thread_contexts=cfg.mttop.thread_contexts,
+                      memory_port=self.ports[node], stats=self.stats,
+                      spin_poll_ps=spin_poll_ps)
+            for node in self.mttop_nodes]
+        for core in self.cpu_cores + self.mttop_cores:
             self.engine.add_agent(core)
 
     def _build_mifd_and_runtime(self) -> None:

@@ -16,7 +16,11 @@ Both machines of the paper are assemblies of the same few parts:
   translate → coherence → data path of the CCSVM chip, with a combined
   TLB-hit + L1-hit fast path;
 * :mod:`repro.mem.assemble` — builders that turn the ``repro.config``
-  hierarchy-shape dataclasses into levels for either machine.
+  hierarchy-shape dataclasses into parts for either machine: the CCSVM
+  memory system (:class:`~repro.mem.assemble.CCSVMMemory`, which both the
+  chip and cache-only replay extend) and the APU's per-core CPU stacks;
+* :mod:`repro.mem.replay` — cache-only replay of a captured trace
+  through those same assemblies, with no cores or engine.
 
 The MOESI directory controller itself stays in
 :mod:`repro.coherence.protocol`; ``repro.mem`` composes it (registering

@@ -96,7 +96,12 @@ class MemoryPort(Protocol):
 
 
 class CoreMemoryPort:
-    """The translation + coherence + data path for one CCSVM core."""
+    """The translation + coherence + data path for one CCSVM core.
+
+    ``fast_path=False`` is kept only as the reference that
+    ``tests/mem/test_fast_path.py`` and ``benchmarks/test_access_path.py``
+    compare the combined TLB-hit + L1-hit fast path against.
+    """
 
     def __init__(self, node: str, tlb: Optional[TLB], walker: PageTableWalker,
                  coherence: CoherentMemorySystem, physical_memory: PhysicalMemory,

@@ -3,14 +3,17 @@
 ``repro.mem.trace`` replay still pays for the whole machine — cores, the
 sim engine, the MIFD, the xthreads runtime — even though a fixed trace's
 reference stream is identical under every hierarchy shape.  This module
-drops everything except the memory system itself: it assembles the same
-TLBs, private L1s, MOESI-directory L2 banks, optional L3 and DRAM model a
-:class:`~repro.core.chip.CCSVMChip` would build (same names, same latency
-parameters), then feeds the recorded per-thread operation streams through
-the ports directly, interleaved in global capture order.
+drops everything except the memory system itself.
+:class:`CCSVMReplayHierarchy` and :class:`~repro.core.chip.CCSVMChip`
+both extend :class:`~repro.mem.assemble.CCSVMMemory`, so the TLBs,
+private L1s, MOESI-directory L2 banks, optional L3 and DRAM model are the
+chip's by construction; the flat lane builds the APU's per-core stacks
+with the builder :class:`~repro.baseline.apu.AMDAPU` uses.  The recorded
+per-thread operation streams are then fed through the ports directly,
+interleaved in global capture order.
 
 Because the ports, the coherence controller and the VM manager are the
-*identical* objects direct simulation uses, every hierarchy counter —
+*identical* classes direct simulation uses, every hierarchy counter —
 ``tlb.*``, ``walker.*``, ``l1d.*``, ``l2.*``, ``l3.*``, ``coherence.*``,
 ``dram.*``, ``network.*``, ``os.*`` — matches a full simulation of the
 same stream exactly.  What cache-only replay does *not* reproduce are the
@@ -49,12 +52,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.baseline.cpu import BaselineCPUPort
-from repro.baseline.memory import FlatMemory, PrivateCacheHierarchy
-from repro.coherence.protocol import CoherentMemorySystem
+from repro.baseline.memory import FlatMemory
 from repro.config import (
     APUSystemConfig,
     CCSVMSystemConfig,
-    ConfigurationError,
     amd_apu_system,
     ccsvm_system,
 )
@@ -79,25 +80,18 @@ from repro.cores.isa import (
     STORE_VECTOR,
     WAIT_VALUE,
 )
-from repro.interconnect.network import NetworkModel
-from repro.interconnect.topology import Torus2DTopology
-from repro.mem.assemble import (
-    build_apu_shared_l2,
-    build_ccsvm_l1,
-    build_l2_banks,
-    build_l3_level,
+from repro.mem.assemble import CCSVMMemory, build_apu_cpu_hierarchies
+from repro.mem.batch import (
+    OP_ATOMIC_ADD,
+    OP_ATOMIC_CAS,
+    OP_LOAD,
+    OP_STORE,
+    scalar_run_batch,
+    split_ops,
 )
-from repro.mem.batch import OP_ATOMIC_ADD, OP_ATOMIC_CAS, OP_LOAD, OP_STORE
-from repro.mem.port import CoreMemoryPort
 from repro.mem.trace import Trace, TraceError
 from repro.memory.dram import DRAMModel
-from repro.memory.physical import FrameAllocator, PhysicalMemory
-from repro.sim.clock import ClockDomain, ns_to_ps
 from repro.sim.stats import StatsRegistry
-from repro.vm.manager import VirtualMemoryManager
-from repro.vm.shootdown import TLBShootdownController
-from repro.vm.tlb import TLB
-from repro.vm.walker import PageTableWalker
 
 
 @dataclass(frozen=True)
@@ -124,116 +118,26 @@ class ReplayResult:
 # --------------------------------------------------------------------------- #
 # CCSVM hierarchy — the chip's memory system without the chip
 # --------------------------------------------------------------------------- #
-class CCSVMReplayHierarchy:
-    """The CCSVM memory system exactly as :class:`CCSVMChip` assembles it.
+class CCSVMReplayHierarchy(CCSVMMemory):
+    """The CCSVM memory system a :class:`CCSVMChip` builds, bare.
 
-    Node names, cache geometry, walker latencies and the coherence fabric
-    are byte-for-byte the chip's; only cores, engine, MIFD and runtime are
-    absent.  One :class:`CoreMemoryPort` exists per cpu/mttop node, all
-    sharing a single process address space.
+    Both extend :class:`~repro.mem.assemble.CCSVMMemory`, so node names,
+    cache geometry, walker latencies and the coherence fabric are the
+    chip's by construction; cores, engine, MIFD and runtime are absent.
+    Every port shares one process address space, and MTTOP ports keep
+    the port's default page-fault handler (the chip routes theirs through
+    the MIFD).
     """
 
-    def __init__(self, config: CCSVMSystemConfig,
-                 fast_access_path: bool = True) -> None:
-        cfg = config
-        if cfg.mttop.write_through:
-            raise ConfigurationError(
-                "mttop.write_through=true is not modeled (write-back MTTOP "
-                "L1s only); cannot replay against this shape")
-        self.config = cfg
-        self.stats = StatsRegistry()
-
-        # Memory + VM (chip: _build_memory).
-        self.physical_memory = PhysicalMemory(cfg.dram.size_bytes)
-        self.frames = FrameAllocator(cfg.dram.size_bytes)
-        self.vm = VirtualMemoryManager(self.physical_memory, self.frames,
-                                       stats=self.stats)
-        self.dram = DRAMModel(cfg.dram.latency_ns, stats=self.stats,
-                              name="dram")
-        self.shootdown = TLBShootdownController(stats=self.stats)
-
-        # Interconnect (chip: _build_interconnect).
-        self.cpu_nodes = [f"cpu{i}" for i in range(cfg.cpu.count)]
-        self.mttop_nodes = [f"mttop{i}" for i in range(cfg.mttop.count)]
-        self.l2_nodes = [f"l2b{i}" for i in range(cfg.l2.banks)]
-        self.memory_node = "mem0"
-        all_nodes = (self.cpu_nodes + self.mttop_nodes + self.l2_nodes
-                     + [self.memory_node])
-        self.topology = Torus2DTopology.fit(all_nodes)
-        self.network = NetworkModel(
-            self.topology, link_bandwidth_gbps=cfg.noc.link_bandwidth_gbps,
-            per_hop_latency_ns=cfg.noc.hop_latency_ns, stats=self.stats)
-
-        # Shared L2 banks + optional L3 + MOESI (chip: _build_l2_and_coherence).
-        self.cpu_clock = ClockDomain.from_ghz("cpu", cfg.cpu.frequency_ghz)
-        self.mttop_clock = ClockDomain.from_mhz("mttop",
-                                                cfg.mttop.frequency_mhz)
-        self._l2_hit_ps = self.cpu_clock.cycles_to_ps(
-            cfg.l2.hit_latency_cpu_cycles)
-        self.l2_banks = build_l2_banks(cfg, self.l2_nodes, self._l2_hit_ps,
-                                       stats=self.stats)
-        self.l3_level = build_l3_level(cfg, self.cpu_clock, stats=self.stats)
-        self.coherence = CoherentMemorySystem(self.network, self.dram,
-                                              self.l2_banks, self.memory_node,
-                                              stats=self.stats,
-                                              l3=self.l3_level)
-
-        # Per-node L1 + TLB + walker + port (chip: _build_cores, minus the
-        # cores themselves).
-        self.ports: Dict[str, CoreMemoryPort] = {}
-        cpu_l1_hit_ps = self.cpu_clock.cycles_to_ps(cfg.cpu.l1_hit_cycles)
-        for node in self.cpu_nodes:
-            l1 = build_ccsvm_l1(node, size_bytes=cfg.cpu.l1_size_bytes,
-                                associativity=cfg.cpu.l1_associativity,
-                                hit_latency_ps=cpu_l1_hit_ps,
-                                replacement=cfg.cpu.l1_replacement,
-                                stats=self.stats)
-            self.coherence.register_l1(node, l1, cpu_l1_hit_ps)
-            port = self._make_port(node, cfg.cpu.tlb_entries,
-                                   fast_access_path)
-            if port.tlb is not None:
-                self.shootdown.register_cpu_tlb(port.tlb)
-            self.ports[node] = port
-        mttop_l1_hit_ps = self.mttop_clock.cycles_to_ps(
-            cfg.mttop.l1_hit_cycles)
-        for node in self.mttop_nodes:
-            l1 = build_ccsvm_l1(node, size_bytes=cfg.mttop.l1_size_bytes,
-                                associativity=cfg.mttop.l1_associativity,
-                                hit_latency_ps=mttop_l1_hit_ps,
-                                replacement=cfg.mttop.l1_replacement,
-                                stats=self.stats)
-            self.coherence.register_l1(node, l1, mttop_l1_hit_ps)
-            port = self._make_port(node, cfg.mttop.tlb_entries,
-                                   fast_access_path)
-            if port.tlb is not None:
-                self.shootdown.register_mttop_tlb(port.tlb)
-            self.ports[node] = port
-
+    def __init__(self, config: CCSVMSystemConfig) -> None:
+        super().__init__(config, StatsRegistry())
         self.space = self.vm.create_address_space()
         for port in self.ports.values():
             port.set_address_space(self.space)
 
-    def _make_port(self, node: str, tlb_entries: int,
-                   fast_access_path: bool) -> CoreMemoryPort:
-        tlb: Optional[TLB] = None
-        if self.config.tlb_enabled:
-            tlb = TLB(entries=tlb_entries, stats=self.stats,
-                      name=f"tlb.{node}")
-        hop_ps = ns_to_ps(self.config.noc.hop_latency_ns)
-        walker = PageTableWalker(
-            self.physical_memory,
-            default_entry_latency_ps=self._l2_hit_ps + 4 * hop_ps,
-            stats=self.stats, name=f"walker.{node}")
-        return CoreMemoryPort(node=node, tlb=tlb, walker=walker,
-                              coherence=self.coherence,
-                              physical_memory=self.physical_memory,
-                              vm_manager=self.vm, stats=self.stats,
-                              sc_checker=None, fast_path=fast_access_path,
-                              batch_enabled=self.config.batch_access)
-
 
 # --------------------------------------------------------------------------- #
-# Stream walking
+# Trace programs — interleave and dispatch once, replay per shape
 # --------------------------------------------------------------------------- #
 def _mifd_placement(trace: Trace, simd_width: int,
                     mttop_nodes: List[str]) -> Dict[Tuple[int, int], str]:
@@ -261,79 +165,55 @@ def _mifd_placement(trace: Trace, simd_width: int,
     return placement
 
 
-class _PortWalker:
-    """Feeds one interleaved trace through a set of ports.
+class _ProgramBuilder:
+    """Compiles one interleaved trace into a flat replay program.
 
-    The batch lane coalesces consecutive plain memory ops bound for the
-    same node into one ``port.run_batch`` call (the columnar engine is
-    counter- and latency-identical to the scalar loop, so coalescing is
-    free); any other operation flushes the pending batch first.  Batches
-    are capped at :data:`_BATCH_CAP` ops: the engine's per-segment gather
-    window scales with the batch, so an unbounded batch turns segment
-    restarts (cold misses, atomics) super-linear.  The cap is invisible —
+    Instructions (plain tuples, shape-independent):
+
+    * ``("B", node, ops)`` — a coalesced run of plain memory op tuples;
+    * ``("M", size)`` / ``("F", vaddr)`` — allocator calls;
+    * ``("X", node, sense_vaddr)`` — a barrier's sense read-and-flip
+      (value-dependent, so it stays scalar at run time).
+
+    Consecutive plain memory ops bound for the same node coalesce into
+    one ``"B"`` run, which :func:`_run_program` hands to
+    ``port.run_batch`` (the batch engine is counter- and
+    latency-identical to the scalar loop, so coalescing is free); any
+    other instruction closes the pending run first.  Runs are capped at
+    :data:`_BATCH_CAP` ops: the engine's per-segment gather window
+    scales with the batch, so an unbounded batch turns segment restarts
+    (cold misses, atomics) super-linear.  The cap is invisible —
     splitting a batch anywhere is counter- and latency-identical.
 
     The grouping depends only on the trace (never on the hierarchy
-    shape), so :func:`_compile` runs this lane once per trace to produce
-    a flat program that every subsequent shape evaluation replays without
-    re-interleaving streams or re-dispatching operation types.
+    shape), so each trace is compiled once and every subsequent shape
+    evaluation replays the program without re-interleaving streams or
+    re-dispatching operation types.
     """
 
     _BATCH_CAP = 1024
 
-    def __init__(self, ports: Dict[str, object], engine: str) -> None:
-        if engine not in ("batch", "scalar"):
-            raise TraceError(f"unknown replay engine {engine!r} "
-                             "(expected 'batch' or 'scalar')")
-        self.ports = ports
-        self.batched = engine == "batch"
-        self.time_ps = 0
-        self.operations = 0
+    def __init__(self) -> None:
+        self.program: List[tuple] = []
         self._pending: List[tuple] = []
         self._pending_node: Optional[str] = None
 
-    # -- batch lane ---------------------------------------------------- #
     def _flush(self) -> None:
-        if not self._pending:
-            return
-        port = self.ports[self._pending_node]
-        if len(self._pending) < 4:
-            # Device streams interleave nodes op-by-op; runt batches are
-            # cheaper through the scalar port calls (counter-identical —
-            # the engine guarantees batch == scalar at any split).
-            for op in self._pending:
-                self._scalar(port, op)
+        if self._pending:
+            self.program.append(("B", self._pending_node, self._pending))
             self._pending = []
-            return
-        _values, lats = port.run_batch(self._pending)
-        self.time_ps += sum(lats)
-        self.operations += len(self._pending)
-        self._pending = []
-
-    def _scalar(self, port, op: tuple) -> None:
-        kind = op[0]
-        if kind == OP_LOAD:
-            _value, lat = port.load(op[1])
-        elif kind == OP_STORE:
-            lat = port.store(op[1], op[2])
-        elif kind == OP_ATOMIC_ADD:
-            _value, lat = port.atomic_add(op[1], op[2])
-        else:
-            _value, lat = port.atomic_cas(op[1], op[2], op[3])
-        self.time_ps += lat
-        self.operations += 1
 
     def _push(self, node: str, op: tuple) -> None:
-        if self.batched:
-            if self._pending and (self._pending_node != node or
-                                  len(self._pending) >= self._BATCH_CAP):
-                self._flush()
-            self._pending_node = node
-            self._pending.append(op)
-            return
-        self._scalar(self.ports[node], op)
+        if self._pending and (self._pending_node != node or
+                              len(self._pending) >= self._BATCH_CAP):
+            self._flush()
+        self._pending_node = node
+        self._pending.append(op)
 
-    # -- per-operation dispatch ---------------------------------------- #
+    def emit(self, instruction: tuple) -> None:
+        self._flush()
+        self.program.append(instruction)
+
     def memory_op(self, node: str, operation) -> bool:
         """Push ``operation`` if it is a plain memory op; False otherwise."""
         code = operation.code
@@ -363,48 +243,6 @@ class _PortWalker:
         else:
             return False
         return True
-
-    def scalar_load(self, node: str, vaddr: int) -> int:
-        self._flush()
-        port = self.ports[node]
-        value, lat = port.load(vaddr)
-        self.time_ps += lat
-        self.operations += 1
-        return value
-
-    def scalar_store(self, node: str, vaddr: int, value: int) -> None:
-        self._flush()
-        port = self.ports[node]
-        self.time_ps += port.store(vaddr, value)
-        self.operations += 1
-
-
-# --------------------------------------------------------------------------- #
-# Trace programs — interleave and dispatch once, replay per shape
-# --------------------------------------------------------------------------- #
-class _ProgramBuilder(_PortWalker):
-    """A :class:`_PortWalker` whose flushes emit program instructions.
-
-    Instructions (plain tuples, shape-independent):
-
-    * ``("B", node, ops)`` — a coalesced run of plain memory op tuples;
-    * ``("M", size)`` / ``("F", vaddr)`` — allocator calls;
-    * ``("X", node, sense_vaddr)`` — a barrier's sense read-and-flip
-      (value-dependent, so it stays scalar at run time).
-    """
-
-    def __init__(self) -> None:
-        super().__init__(ports={}, engine="batch")
-        self.program: List[tuple] = []
-
-    def _flush(self) -> None:
-        if self._pending:
-            self.program.append(("B", self._pending_node, self._pending))
-            self._pending = []
-
-    def emit(self, instruction: tuple) -> None:
-        self._flush()
-        self.program.append(instruction)
 
 
 def _compile_ccsvm(trace: Trace, simd_width: int,
@@ -498,9 +336,10 @@ def _run_program(program: List[tuple], ports: Dict[str, object],
                  batched: bool, do_malloc, do_free) -> Tuple[int, int]:
     """Execute a compiled program; returns ``(time_ps, operations)``.
 
-    Counter- and latency-identical to walking the trace through a
-    :class:`_PortWalker`: the program *is* that walker's batch grouping,
-    precomputed.
+    A ``"B"`` run goes through ``port.run_batch`` when ``batched`` and at
+    least 4 ops long; shorter runs (device streams interleave nodes op by
+    op) and the scalar engine take the reference per-op loop, which is
+    counter- and latency-identical at any split.
     """
     time_ps = 0
     operations = 0
@@ -511,19 +350,9 @@ def _run_program(program: List[tuple], ports: Dict[str, object],
             port = ports[ins[1]]
             if batched and len(ops) >= 4:
                 _values, lats = port.run_batch(ops)
-                time_ps += sum(lats)
             else:
-                for op in ops:
-                    kind = op[0]
-                    if kind == OP_LOAD:
-                        _value, lat = port.load(op[1])
-                    elif kind == OP_STORE:
-                        lat = port.store(op[1], op[2])
-                    elif kind == OP_ATOMIC_ADD:
-                        _value, lat = port.atomic_add(op[1], op[2])
-                    else:
-                        _value, lat = port.atomic_cas(op[1], op[2], op[3])
-                    time_ps += lat
+                _values, lats = scalar_run_batch(port, *split_ops(ops))
+            time_ps += sum(lats)
             operations += len(ops)
         elif tag == "M":
             do_malloc(ins[1])
@@ -540,6 +369,12 @@ def _run_program(program: List[tuple], ports: Dict[str, object],
     return time_ps, operations
 
 
+def _check_engine(engine: str) -> None:
+    if engine not in ("batch", "scalar"):
+        raise TraceError(f"unknown replay engine {engine!r} "
+                         "(expected 'batch' or 'scalar')")
+
+
 #: Small FIFO of parsed traces keyed by (path, mtime, size): a DSE sweep
 #: hands every design point the same trace *path*, and parsing a large
 #: JSON stream per point would dwarf the replay itself.
@@ -547,21 +382,23 @@ _TRACE_CACHE: Dict[tuple, Trace] = {}
 _TRACE_CACHE_MAX = 8
 
 
-def load_trace_cached(path: str) -> Trace:
-    """Load a trace file, reusing the parsed object for an unchanged file.
+def load_trace_cached(trace: Union[Trace, str]) -> Trace:
+    """A trace object as is, or a trace file, parsed once while unchanged.
 
     The cached :class:`Trace` also carries its compiled replay programs,
     so repeated shape evaluations of one capture skip both the JSON parse
     and the stream interleave.  Callers must not mutate the result.
     """
-    st = os.stat(path)
-    key = (os.path.abspath(path), st.st_mtime_ns, st.st_size)
-    trace = _TRACE_CACHE.get(key)
-    if trace is None:
+    if isinstance(trace, Trace):
+        return trace
+    st = os.stat(trace)
+    key = (os.path.abspath(trace), st.st_mtime_ns, st.st_size)
+    loaded = _TRACE_CACHE.get(key)
+    if loaded is None:
         while len(_TRACE_CACHE) >= _TRACE_CACHE_MAX:
             _TRACE_CACHE.pop(next(iter(_TRACE_CACHE)))
-        trace = _TRACE_CACHE[key] = Trace.load(path)
-    return trace
+        loaded = _TRACE_CACHE[key] = Trace.load(trace)
+    return loaded
 
 
 # --------------------------------------------------------------------------- #
@@ -574,14 +411,11 @@ def replay_trace(trace: Union[Trace, str],
     shape, cache-only.
 
     ``engine='batch'`` coalesces same-node runs of plain memory ops
-    through the columnar batch engine; ``'scalar'`` walks the unchanged
+    through the batch engine; ``'scalar'`` walks the unchanged
     per-word port methods.  Both produce identical counters and time.
     """
-    if engine not in ("batch", "scalar"):
-        raise TraceError(f"unknown replay engine {engine!r} "
-                         "(expected 'batch' or 'scalar')")
-    if isinstance(trace, str):
-        trace = load_trace_cached(trace)
+    _check_engine(engine)
+    trace = load_trace_cached(trace)
     hierarchy = CCSVMReplayHierarchy(config if config is not None
                                      else ccsvm_system())
     cfg = hierarchy.config
@@ -606,24 +440,22 @@ def replay_trace(trace: Union[Trace, str],
 
 
 # --------------------------------------------------------------------------- #
-# Baseline (flat-memory) replay — the apu-shared-l2 family
+# Baseline (flat-memory) replay — the APU presets
 # --------------------------------------------------------------------------- #
 def replay_trace_flat(trace: Union[Trace, str],
                       config: Optional[APUSystemConfig] = None,
                       engine: str = "batch") -> ReplayResult:
     """Replay a trace's host streams through the APU cache hierarchy.
 
-    Builds the same per-core :class:`PrivateCacheHierarchy` stacks (and
-    pooled shared L2, when ``config.cpu.l2_shared``) the
-    :class:`~repro.baseline.apu.AMDAPU` machine assembles, and walks host
-    stream ``i`` through core ``i``'s port.  Device streams have no APU
-    CPU analog, so traces with device tasks are rejected.
+    Builds one per-core stack per host stream with
+    :func:`~repro.mem.assemble.build_apu_cpu_hierarchies`, the builder
+    :class:`~repro.baseline.apu.AMDAPU` uses (private L2s, or one pooled
+    L2 when ``config.cpu.l2_shared``), and walks host stream ``i``
+    through core ``i``'s port.  Device streams have no APU CPU analog,
+    so traces with device tasks are rejected.
     """
-    if engine not in ("batch", "scalar"):
-        raise TraceError(f"unknown replay engine {engine!r} "
-                         "(expected 'batch' or 'scalar')")
-    if isinstance(trace, str):
-        trace = load_trace_cached(trace)
+    _check_engine(engine)
+    trace = load_trace_cached(trace)
     if config is None:
         config = amd_apu_system()
     if trace.tasks:
@@ -636,23 +468,9 @@ def replay_trace_flat(trace: Union[Trace, str],
     stats = StatsRegistry()
     memory = FlatMemory()
     dram = DRAMModel(config.dram.latency_ns, stats=stats, name="dram")
-    shared_l2 = build_apu_shared_l2(config, stats=stats)
-    ports: Dict[str, BaselineCPUPort] = {}
-    for index in range(len(trace.hosts)):
-        hierarchy = PrivateCacheHierarchy(
-            name=f"apu_cpu{index}",
-            dram=dram,
-            l1_size_bytes=config.cpu.l1_size_bytes,
-            l1_associativity=config.cpu.l1_associativity,
-            l1_hit_ps=ns_to_ps(config.cpu.l1_hit_ns),
-            l2_size_bytes=config.cpu.l2_size_bytes,
-            l2_associativity=config.cpu.l2_associativity,
-            l2_hit_ps=ns_to_ps(config.cpu.l2_hit_ns),
-            l1_replacement=config.cpu.l1_replacement,
-            l2_replacement=config.cpu.l2_replacement,
-            shared_l2=shared_l2,
-            stats=stats)
-        ports[f"cpu{index}"] = BaselineCPUPort(memory, hierarchy)
+    ports = {f"cpu{index}": BaselineCPUPort(memory, hierarchy)
+             for index, hierarchy in enumerate(build_apu_cpu_hierarchies(
+                 config, dram, len(trace.hosts), stats))}
 
     program = _compiled_program(trace, ("flat",),
                                 lambda: _compile_flat(trace))

@@ -157,7 +157,9 @@ class Engine:
     scheduler:
         ``"heap"`` (default) uses the indexed min-heap ready queue;
         ``"linear"`` keeps the historical O(n) scan per step.  Both produce
-        the identical deterministic step order.
+        the identical deterministic step order; ``"linear"`` is kept only
+        as the reference ``tests/sim/test_engine.py`` and
+        ``benchmarks/test_engine_scheduling.py`` compare the heap against.
     """
 
     def __init__(self, max_steps: int = 200_000_000,

@@ -208,19 +208,13 @@ def mem_stream_pthreads(config: Optional[APUSystemConfig] = None, *,
 # --------------------------------------------------------------------------- #
 # cache_replay — the near-free shape evaluator
 # --------------------------------------------------------------------------- #
-def _load(trace: Union[Trace, str]) -> Trace:
-    # The path-keyed cache keeps one parsed (and compiled) trace across a
-    # whole sweep/DSE run instead of re-parsing JSON per design point.
-    return load_trace_cached(trace) if isinstance(trace, str) else trace
-
-
 @register_variant(WORKLOAD, "ccsvm",
                   description="cache-only replay of a recorded trace through "
                               "a bare CCSVM hierarchy (no cores, no engine)")
 def ccsvm_variant(config: Optional[CCSVMSystemConfig] = None, *,
                   seed: int = 0, trace: Union[Trace, str] = "trace.json",
                   engine: str = "batch") -> WorkloadResult:
-    loaded = _load(trace)
+    loaded = load_trace_cached(trace)
     result = replay_trace(loaded, config, engine=engine)
     return WorkloadResult(system="ccsvm_cache_replay", workload=WORKLOAD,
                           params={"workload": loaded.workload,
@@ -237,7 +231,7 @@ def ccsvm_variant(config: Optional[CCSVMSystemConfig] = None, *,
 def pthreads_variant(config: Optional[APUSystemConfig] = None, *,
                      seed: int = 0, trace: Union[Trace, str] = "trace.json",
                      engine: str = "batch") -> WorkloadResult:
-    loaded = _load(trace)
+    loaded = load_trace_cached(trace)
     result = replay_trace_flat(loaded, config, engine=engine)
     return WorkloadResult(system="apu_cache_replay", workload=WORKLOAD,
                           params={"workload": loaded.workload,

@@ -65,7 +65,7 @@ def run_replay(trace: Union[Trace, str],
     A path is parsed once per process (:func:`load_trace_cached`), so a
     sweep replaying one capture across many shapes decodes it once.
     """
-    loaded = load_trace_cached(trace) if isinstance(trace, str) else trace
+    loaded = load_trace_cached(trace)
     system = config if config is not None else ccsvm_system()
     chip = CCSVMChip(system)
     chip.create_process(f"replay_{loaded.workload or 'trace'}")
@@ -93,7 +93,7 @@ def run_replay_flat(trace: Union[Trace, str],
     """
     from repro.baseline.apu import AMDAPU
 
-    loaded = load_trace_cached(trace) if isinstance(trace, str) else trace
+    loaded = load_trace_cached(trace)
     if loaded.tasks:
         raise TraceError("the APU baseline replays host-only traces "
                          "(device streams have no APU CPU analog)")

@@ -101,8 +101,9 @@ class TestAPUGate:
         return {name: value for name, value in counters.items()
                 if ".instructions" not in name and ".mallocs" not in name}
 
-    def test_counters_match_full_simulation(self, host_trace):
-        config = system_config("apu-shared-l2")
+    @pytest.mark.parametrize("preset", ("apu", "apu-shared-l2"))
+    def test_counters_match_full_simulation(self, host_trace, preset):
+        config = system_config(preset)
         full = run_replay_flat(host_trace, config=config)
         fast = replay_trace_flat(host_trace, config)
         assert canonical(self._filtered(full.counters)) == \
