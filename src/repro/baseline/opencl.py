@@ -32,6 +32,11 @@ from repro.memory.address import CACHE_LINE_SIZE, WORD_SIZE
 from repro.sim.clock import ns_to_ps
 from repro.sim.stats import StatsRegistry
 
+#: Counter name of each cost phase :meth:`OpenCLSession._charge` books.
+_PHASE_STATS = {phase: f"opencl.{phase}_ps"
+                for phase in ("init", "compile", "buffer", "map", "host_write",
+                              "host_read", "launch", "dma", "kernel", "finish")}
+
 
 @dataclass
 class OpenCLBuffer:
@@ -87,7 +92,7 @@ class OpenCLSession:
         self.breakdown_ps[phase] = self.breakdown_ps.get(phase, 0) + picoseconds
         if setup:
             self.setup_ps += picoseconds
-        self.stats.add(f"opencl.{phase}_ps", picoseconds)
+        self.stats.add(_PHASE_STATS[phase], picoseconds)
 
     def _runtime_dram_traffic(self, kilobytes: int) -> None:
         """Account for DRAM traffic of the runtime/driver itself.

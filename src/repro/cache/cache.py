@@ -7,6 +7,10 @@ bit), and implements replacement.  It does **not** decide what happens on a
 miss — that is the job of the coherence controllers (CCSVM chip) or the
 simple hierarchy model (APU baseline), which is why the interface exposes
 explicit ``insert``/``evict`` instead of a monolithic ``access``.
+
+Per-set state is created on demand: a set's way dict and its replacement
+policy come into being at the set's first fill, so building a cache costs
+the same whatever its size, and a run pays only for the sets it touches.
 """
 
 from __future__ import annotations
@@ -57,7 +61,16 @@ class CacheConfig:
 
 
 class SetAssociativeCache:
-    """A physically-indexed, physically-tagged set-associative tag store."""
+    """A physically-indexed, physically-tagged set-associative tag store.
+
+    Each set's way dict and replacement policy are created by
+    :meth:`insert` at the set's first fill and then kept for the cache's
+    lifetime (:meth:`flush_all` empties the dict but keeps the policy, so
+    a ``random`` set's generator and LRU/PLRU history carry on).  Every
+    other method reaches a set only through a resident line.  The policy
+    name and its associativity constraint are still checked here, at
+    build time.
+    """
 
     def __init__(self, config: CacheConfig,
                  stats: Optional[StatsRegistry] = None) -> None:
@@ -65,12 +78,13 @@ class SetAssociativeCache:
         self.name = config.name
         self.stats = stats if stats is not None else StatsRegistry()
         self._num_sets = config.num_sets
-        # Per set: way -> block, plus a replacement-policy instance.
-        self._sets: List[Dict[int, CacheBlock]] = [dict() for _ in range(self._num_sets)]
-        self._policies: List[ReplacementPolicy] = [
-            make_replacement_policy(config.replacement, config.associativity)
-            for _ in range(self._num_sets)
-        ]
+        # Per set: way -> block, plus a replacement-policy instance; both
+        # stay None until the set's first fill.  Building one policy here
+        # rejects a bad name or associativity before anything runs.
+        self._policy_class = type(
+            make_replacement_policy(config.replacement, config.associativity))
+        self._sets: List[Optional[Dict[int, CacheBlock]]] = [None] * self._num_sets
+        self._policies: List[Optional[ReplacementPolicy]] = [None] * self._num_sets
         # Reverse index: line address -> (set index, way) for O(1) lookups.
         self._where: Dict[int, Tuple[int, int]] = {}
         # Precomputed bits for the access hot path: building an f-string
@@ -97,7 +111,7 @@ class SetAssociativeCache:
     # ------------------------------------------------------------------ #
     # Lookup / insert / evict
     # ------------------------------------------------------------------ #
-    def lookup(self, address: int, update_replacement: bool = True) -> Optional[CacheBlock]:
+    def lookup(self, address: int) -> Optional[CacheBlock]:
         """Return the block holding ``address``'s line, if resident."""
         line = address & self._line_mask
         where = self._where.get(line)
@@ -105,8 +119,7 @@ class SetAssociativeCache:
             self.stats.add(self._misses_stat)
             return None
         set_index, way = where
-        if update_replacement:
-            self._policies[set_index].touch(way)
+        self._policies[set_index].touch(way)
         self.stats.add(self._hits_stat)
         return self._sets[set_index][way]
 
@@ -201,7 +214,12 @@ class SetAssociativeCache:
             raise CacheError(f"{self.name}: line {line:#x} inserted twice")
         set_index = self.set_index(line)
         ways = self._sets[set_index]
-        policy = self._policies[set_index]
+        if ways is None:
+            ways = self._sets[set_index] = {}
+            policy = self._policies[set_index] = self._policy_class(
+                self.config.associativity)
+        else:
+            policy = self._policies[set_index]
 
         victim: Optional[CacheBlock] = None
         if len(ways) >= self.config.associativity:
@@ -247,7 +265,8 @@ class SetAssociativeCache:
     def blocks(self) -> Iterator[CacheBlock]:
         """Iterate over every resident block (order unspecified)."""
         for ways in self._sets:
-            yield from ways.values()
+            if ways:
+                yield from ways.values()
 
     @property
     def hit_latency_ps(self) -> int:
@@ -267,7 +286,8 @@ class SetAssociativeCache:
         """Remove every block and return them (dirty ones need writeback)."""
         blocks = list(self.blocks())
         for ways in self._sets:
-            ways.clear()
+            if ways:
+                ways.clear()
         self._where.clear()
         self.stats.add(self._flushes_stat)
         return blocks

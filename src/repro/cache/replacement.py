@@ -36,9 +36,6 @@ class ReplacementPolicy(ABC):
     def victim(self, occupied_ways: List[int]) -> int:
         """Choose the way to evict.  ``occupied_ways`` lists valid ways."""
 
-    def reset(self) -> None:
-        """Forget all recency state (optional for subclasses)."""
-
 
 class LRUReplacement(ReplacementPolicy):
     """True least-recently-used replacement."""
@@ -59,10 +56,6 @@ class LRUReplacement(ReplacementPolicy):
                 if way not in occupied_ways:
                     return way
         return min(occupied_ways, key=lambda way: self._timestamps.get(way, 0))
-
-    def reset(self) -> None:
-        self._timestamps.clear()
-        self._clock = 0
 
 
 class PseudoLRUReplacement(ReplacementPolicy):
@@ -107,9 +100,6 @@ class PseudoLRUReplacement(ReplacementPolicy):
                 way += half
             span = half
         return way
-
-    def reset(self) -> None:
-        self._bits = [False] * max(1, self.associativity - 1)
 
 
 class RandomReplacement(ReplacementPolicy):

@@ -9,7 +9,9 @@ interconnect; off-chip DRAM — is the
 cache-only replay builds.  On top the chip adds the CPU and MTTOP cores,
 the MIFD and the xthreads runtime.  A run executes one xthreads process:
 its host program on a CPU core plus whatever MTTOP tasks the host
-launches.
+launches.  A chip runs once, and a finished run drops the cores'
+references back to the engine and the MIFD, so reference counting frees
+the chip as soon as its caller lets go of it.
 
 Typical use::
 
@@ -210,7 +212,10 @@ class CCSVMChip(CCSVMMemory):
         and runs on CPU core 0; ``extra_hosts`` (optional) model additional
         pthreads-style CPU threads of the same process and are placed on the
         remaining CPU cores round-robin.  A chip instance runs one process
-        once; build a fresh chip for each experiment point.
+        once; build a fresh chip for each experiment point.  When the run
+        returns, the chip holds no reference cycle (see
+        :meth:`_drop_back_references`): a sweep of many points frees each
+        chip at once instead of piling them up for the cyclic collector.
         """
         if self._has_run:
             raise SimulationError(
@@ -242,8 +247,26 @@ class CCSVMChip(CCSVMMemory):
                                               on_complete=self._on_host_complete)
 
         total_time = self.engine.run()
+        self._drop_back_references()
         return RunResult(time_ps=total_time, engine_steps=self.engine.steps_executed,
                          stats=self.stats)
+
+    def _drop_back_references(self) -> None:
+        """Cut the reference cycles a finished run no longer needs.
+
+        Every core points back at the engine that lists it, and through
+        the runtime handler and the MTTOP page-fault handler at the MIFD,
+        which lists every core.  Left in place, those cycles keep the whole
+        chip (caches, coherence, physical memory) alive until a full
+        cyclic collection; cut, reference counting frees the chip as soon
+        as its caller drops it.  A chip runs once, so nothing reads them
+        again.  A run that raises keeps them and leaves its chip to the
+        cyclic collector.
+        """
+        for core in self.engine.agents:
+            core._engine = None
+        self.mifd.mttop_cores.clear()
+        self.mifd.cpu_cores.clear()
 
     # ------------------------------------------------------------------ #
     # Functional helpers (no timing) for tests, examples and experiments

@@ -46,6 +46,8 @@ class CPUCore(Agent):
         self._issue_ps = clock.cycles_to_ps(cycles_per_instruction)
         self._instructions_stat = f"{name}.instructions"
         self._completed_stat = f"{name}.programs_completed"
+        self._interrupts_stat = f"{name}.interrupts"
+        self._interrupt_ps_stat = f"{name}.interrupt_ps"
         self._queue: List[Tuple[ThreadContext, Optional[CompletionCallback]]] = []
         self._current: Optional[Tuple[ThreadContext, Optional[CompletionCallback]]] = None
         self._pending_interrupt_ps = 0
@@ -76,7 +78,7 @@ class CPUCore(Agent):
         being diverted to run a handler on behalf of another device.
         """
         self._pending_interrupt_ps += latency_ps
-        self.stats.add(f"{self.name}.interrupts")
+        self.stats.add(self._interrupts_stat)
 
     # ------------------------------------------------------------------ #
     # Agent protocol
@@ -84,7 +86,7 @@ class CPUCore(Agent):
     def step(self) -> StepOutcome:
         if self._pending_interrupt_ps:
             self.advance(self._pending_interrupt_ps)
-            self.stats.add(f"{self.name}.interrupt_ps", self._pending_interrupt_ps)
+            self.stats.add(self._interrupt_ps_stat, self._pending_interrupt_ps)
             self._pending_interrupt_ps = 0
             return StepOutcome.RAN
 

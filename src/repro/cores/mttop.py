@@ -73,6 +73,7 @@ class MTTOPCore(Agent):
         self._lane_stat = f"{name}.lane_instructions"
         self._warp_stat = f"{name}.warp_instructions"
         self._retired_stat = f"{name}.warps_retired"
+        self._assigned_stat = f"{name}.warps_assigned"
         self._warps: List[Warp] = []
         self._next_warp_index = 0
         self._next_warp_id = 0
@@ -113,7 +114,7 @@ class MTTOPCore(Agent):
         self._next_warp_id += 1
         self._warps.append(warp)
         self._contexts_in_use += len(lanes)
-        self.stats.add(f"{self.name}.warps_assigned")
+        self.stats.add(self._assigned_stat)
         self.finished = False
         self.wake(at_time_ps)
         return warp

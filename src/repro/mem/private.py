@@ -49,6 +49,7 @@ class PrivateHierarchy:
         # Precomputed per-level writeback counter names (hot path).
         self._writeback_stats = [f"{name}.{level.label}_writebacks"
                                  for level in self.levels]
+        self._flush_dirty_stat = f"{name}.flush_dirty_lines"
 
     # ------------------------------------------------------------------ #
     # Access path
@@ -121,5 +122,5 @@ class PrivateHierarchy:
                 if block.dirty:
                     dirty += 1
                     self.dram_level.write()
-        self.stats.add(f"{self.name}.flush_dirty_lines", dirty)
+        self.stats.add(self._flush_dirty_stat, dirty)
         return flushed, dirty

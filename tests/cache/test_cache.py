@@ -30,6 +30,20 @@ class TestConfigValidation:
         with pytest.raises(CacheError):
             CacheConfig(size_bytes=1024, associativity=2, line_size=60)
 
+    def test_unknown_policy_rejected_at_build(self):
+        with pytest.raises(CacheError, match="unknown replacement"):
+            SetAssociativeCache(CacheConfig(size_bytes=1024, associativity=2,
+                                            replacement="fifo"))
+
+    def test_plru_odd_associativity_rejected_at_build(self):
+        # 768 B / (3 ways * 64 B) = 4 sets: a valid geometry whose
+        # associativity pseudo-LRU cannot serve.  Set state is created at
+        # a set's first fill, but the policy is still checked here.
+        config = CacheConfig(size_bytes=768, associativity=3, replacement="plru")
+        assert config.num_sets == 4
+        with pytest.raises(CacheError, match="power-of-two associativity"):
+            SetAssociativeCache(config)
+
     def test_table2_geometries_valid(self):
         CacheConfig(size_bytes=64 * 1024, associativity=4)    # CPU L1
         CacheConfig(size_bytes=16 * 1024, associativity=4)    # MTTOP L1

@@ -43,13 +43,6 @@ class TestLRU:
         policy.touch(0)
         assert policy.victim([0, 1]) == 1
 
-    def test_reset_forgets_history(self):
-        policy = LRUReplacement(2)
-        policy.touch(1)
-        policy.reset()
-        # After reset both ways look untouched; victim must still be valid.
-        assert policy.victim([0, 1]) in {0, 1}
-
     @given(st.lists(st.integers(0, 3), min_size=1, max_size=50))
     def test_victim_is_always_a_valid_way(self, touches):
         policy = LRUReplacement(4)
@@ -86,12 +79,6 @@ class TestPseudoLRU:
         policy = PseudoLRUReplacement(4)
         for way in touches:
             policy.touch(way)
-        assert policy.victim([0, 1, 2, 3]) in {0, 1, 2, 3}
-
-    def test_reset(self):
-        policy = PseudoLRUReplacement(4)
-        policy.touch(3)
-        policy.reset()
         assert policy.victim([0, 1, 2, 3]) in {0, 1, 2, 3}
 
 

@@ -47,8 +47,16 @@ class TestReplacementThroughBothMachines:
     def test_override_selects_policy_in_built_l1(self, machine, policy):
         cache = BUILDERS[machine](policy)
         assert cache.config.replacement == policy
-        assert all(isinstance(p, POLICY_CLASSES[policy])
-                   for p in cache._policies)
+        # A freshly built cache holds no per-set state ...
+        assert cache._sets == [None] * cache._num_sets
+        assert cache._policies == [None] * cache._num_sets
+        # ... and the set filled first gets the configured policy.
+        line = 5 * cache.config.line_size
+        cache.insert(line)
+        set_index = cache.set_index(line)
+        assert isinstance(cache._policies[set_index], POLICY_CLASSES[policy])
+        assert sum(p is not None for p in cache._policies) == 1
+        assert sum(s is not None for s in cache._sets) == 1
 
     @pytest.mark.parametrize("machine", sorted(BUILDERS))
     def test_lru_victim_order_in_built_l1(self, machine):

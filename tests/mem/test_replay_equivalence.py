@@ -12,6 +12,7 @@ import json
 
 import pytest
 
+from repro.config import apply_overrides
 from repro.mem.replay import replay_trace, replay_trace_flat
 from repro.mem.trace import TraceError
 from repro.systems import system_config
@@ -80,6 +81,19 @@ class TestCCSVMGate:
             canonical(hierarchy_counters(fast.counters))
         assert fast.verified
         assert fast.dram_accesses == full.dram_accesses
+
+    @pytest.mark.parametrize("policy", ("plru", "random"))
+    def test_evicting_shape_matches_full_simulation(self, host_trace, policy):
+        # The tiny caches evict on this trace, so victim choice (and a
+        # random set's generator) must agree between the two evaluators.
+        config = apply_overrides(system_config("ccsvm-tiny"),
+                                 {"cpu.l1_replacement": policy,
+                                  "l2.replacement": policy})
+        full = run_replay(host_trace, config=config)
+        fast = replay_trace(host_trace, config)
+        assert full.counters["l1d.cpu0.evictions"] > 0
+        assert canonical(hierarchy_counters(full.counters)) == \
+            canonical(hierarchy_counters(fast.stats_snapshot()))
 
     def test_scalar_engine_matches_batch_engine(self, host_trace):
         config = system_config("ccsvm")
